@@ -32,7 +32,6 @@ from .noise import NoiseRow, noise_experiment, replicate_seed
 from .pareto import Solution, closest_point, pareto_front, sweep
 from .stats import (
     ContingencyTable,
-    RiskConfig,
     chi2_obs,
     contingency,
     expected_counts_ok,

@@ -46,6 +46,7 @@ class Dataset:
         self.feature_names = tuple(names)
         self.name_index = {name: i for i, name in enumerate(names)}
         self._matrix = matrix
+        self._unique_rows: int | None = None  # memo of unique_count
 
     @property
     def n(self) -> int:
@@ -141,8 +142,10 @@ def save_dataset(d: Dataset, path) -> None:
 
 
 def unique_count(d: Dataset) -> int:
-    """Number of distinct full rows."""
-    return len(np.unique(d.matrix, axis=0))
+    """Number of distinct full rows, computed once per (immutable) dataset."""
+    if d._unique_rows is None:
+        d._unique_rows = len(np.unique(d.matrix, axis=0))
+    return d._unique_rows
 
 
 def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:

@@ -55,14 +55,40 @@ def contingency(x: np.ndarray, y: np.ndarray) -> ContingencyTable:
     return ContingencyTable(a, b, c, x.size - a - b - c)
 
 
+def phi_coefficients(a, b, c, d) -> np.ndarray:
+    """Pearson correlation (phi) of 2x2 tables, elementwise over integer
+    counts: (ad - bc) / sqrt of the product of the four marginals.
+
+    The numerator is exact in int64; the marginals are multiplied as
+    float64 in the order row1 * row2 * col1 * col2, so a table gives the
+    same bits alone or in an array.  NaN where a marginal is zero (a
+    constant feature), where r is undefined.
+    """
+    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
+    m1, m2, m3, m4 = a + b, c + d, a + c, b + d
+    den = np.sqrt(m1.astype(np.float64) * m2 * m3 * m4)
+    r = np.full(den.shape, np.nan)
+    np.divide((a * d - b * c).astype(np.float64), den, out=r, where=den > 0)
+    return r
+
+
+def expected_counts_mask(a, b, c, d) -> np.ndarray:
+    """Elementwise: all four expected cell counts under independence,
+    row_i * col_j / n, are >= 5.  The smallest is min(row) * min(col) / n,
+    compared exactly in integers."""
+    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
+    n = a + b + c + d
+    rows = np.minimum(a + b, c + d)
+    cols = np.minimum(a + c, b + d)
+    return rows * cols >= 5 * n
+
+
 def pearson_r(t: ContingencyTable) -> float:
-    """Pearson correlation (phi) of a 2x2 table: (ad - bc) / sqrt of the
-    product of the four marginals."""
-    m1, m2 = t.a + t.b, t.c + t.d
-    m3, m4 = t.a + t.c, t.b + t.d
-    if min(m1, m2, m3, m4) == 0:
+    """Pearson correlation (phi) of one 2x2 table; see phi_coefficients."""
+    r = float(phi_coefficients(t.a, t.b, t.c, t.d))
+    if math.isnan(r):
         raise DegenerateTableError(f"constant feature in table {t}")
-    return (t.a * t.d - t.b * t.c) / math.sqrt(m1 * m2 * m3 * m4)
+    return r
 
 
 def chi2_obs(t: ContingencyTable) -> float:
@@ -73,16 +99,7 @@ def chi2_obs(t: ContingencyTable) -> float:
 
 def expected_counts_ok(t: ContingencyTable) -> bool:
     """True iff all four expected cell counts under independence are >= 5."""
-    n = t.n
-    row1, row2 = t.a + t.b, t.c + t.d
-    col1, col2 = t.a + t.c, t.b + t.d
-    expectations = (
-        row1 * col1 / n,
-        row1 * col2 / n,
-        row2 * col1 / n,
-        row2 * col2 / n,
-    )
-    return all(e >= 5.0 for e in expectations)
+    return bool(expected_counts_mask(t.a, t.b, t.c, t.d))
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +150,6 @@ def lambda_from_risk(alpha: float, n: int) -> float:
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 0.5), got {alpha}")
     return normal_quantile(1 - alpha) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class RiskConfig:
-    """Significance level plus the recommended band [5%/m, 5%] for m tests."""
-
-    alpha: float
-    planned_tests: int = 1
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must be in (0, 0.5), got {self.alpha}")
-        if self.planned_tests < 1:
-            raise ValueError("planned_tests must be >= 1")
-
-    @property
-    def recommended_band(self) -> tuple[float, float]:
-        return (0.05 / self.planned_tests, 0.05)
-
-    def threshold(self, n: int) -> float:
-        return lambda_from_risk(self.alpha, n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from . import expr as ex
 from .dataset import Dataset, unique_count
 from .metrics import FeatureSet, MetricsError, MetricsReport, report
-from .stats import ContingencyTable, expected_counts_ok, lambda_from_risk
+from .stats import expected_counts_mask, lambda_from_risk, phi_coefficients
 
 
 class UfcError(Exception):
@@ -102,13 +102,22 @@ class RunResult:
 
 
 def pair_tables(fs: FeatureSet) -> np.ndarray:
-    """(m, m, 4) array of contingency counts a, b, c, d for all pairs."""
-    ext = fs.extensions.astype(np.int64)
-    a = ext.T @ ext
-    s = np.count_nonzero(fs.extensions, axis=0)
+    """(m, m, 4) array of contingency counts a, b, c, d for all pairs.
+
+    a is a popcount over bit-packed columns: exact for any n, single
+    threaded, and no wider copy of the extension matrix is made."""
+    n, m = fs.extensions.shape
+    packed = np.packbits(fs.extensions, axis=0)  # (ceil(n / 8), m) bytes
+    words = np.zeros((m, -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
+    words[:, : packed.shape[0]] = packed.T
+    words = words.view(np.uint64)  # zero-padded to whole 64-bit words
+    a = np.empty((m, m), dtype=np.int64)
+    for i in range(m):
+        a[i, i:] = a[i:, i] = np.bitwise_count(words[i] & words[i:]).sum(axis=1)
+    s = np.diagonal(a)
     b = s[:, None] - a
     c = s[None, :] - a
-    d = fs.dataset.n - a - b - c
+    d = n - a - b - c
     return np.stack([a, b, c, d], axis=-1)
 
 
@@ -118,25 +127,19 @@ def search_correlated_pairs(
     """All index pairs i < j with defined r strictly above the threshold,
     sorted by r descending then (i, j) ascending.  With pruning on, pairs
     failing the expected-frequency rule are excluded."""
-    n = fs.dataset.n
     tables = pair_tables(fs)
-    out: list[CandidatePair] = []
-    for i in range(fs.m):
-        for j in range(i + 1, fs.m):
-            a, b, c, d = (int(v) for v in tables[i, j])
-            m1, m2, m3, m4 = a + b, c + d, a + c, b + d
-            if min(m1, m2, m3, m4) == 0:
-                continue  # constant feature: r undefined, not a candidate
-            r = (a * d - b * c) / np.sqrt(
-                float(m1) * float(m2) * float(m3) * float(m4)
-            )
-            if r <= threshold:
-                continue
-            if pruning and not expected_counts_ok(ContingencyTable(a, b, c, d)):
-                continue
-            out.append(CandidatePair(i, j, float(r)))
-    out.sort(key=lambda p: (-p.r, p.i, p.j))
-    return out
+    i, j = np.triu_indices(fs.m, k=1)
+    a, b, c, d = tables[i, j].T
+    r = phi_coefficients(a, b, c, d)
+    keep = r > threshold  # NaN (constant feature) is never a candidate
+    if pruning:
+        keep &= expected_counts_mask(a, b, c, d)
+    i, j, r = i[keep], j[keep], r[keep]
+    order = np.lexsort((j, i, -r))
+    return [
+        CandidatePair(*p)
+        for p in zip(i[order].tolist(), j[order].tolist(), r[order].tolist())
+    ]
 
 
 def construct_new_features(
@@ -174,10 +177,9 @@ def count_common(fs1: FeatureSet, fs2: FeatureSet) -> int:
 def ufc_run(d: Dataset, cfg: UfcConfig) -> RunResult:
     """Run the construction loop to a fixpoint, iteration cap, or the
     RMS minimum (risk mode).  Deterministic for a given (d, cfg)."""
-    if unique_count(d) <= d.k:
-        raise UfcError(
-            f"degenerate dataset: unique rows ({unique_count(d)}) <= features ({d.k})"
-        )
+    uniq = unique_count(d)
+    if uniq <= d.k:
+        raise UfcError(f"degenerate dataset: unique rows ({uniq}) <= features ({d.k})")
     if isinstance(cfg.mode, RiskMode):
         threshold = lambda_from_risk(cfg.mode.alpha, d.n)
         limit = cfg.mode.hard_cap

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from boolfc.stats import (
     ContingencyTable,
     DegenerateTableError,
-    RiskConfig,
     StatsError,
     chi2_obs,
     contingency,
@@ -19,6 +18,7 @@ from boolfc.stats import (
     lambda_from_risk,
     normal_quantile,
     pearson_r,
+    phi_coefficients,
 )
 
 # -- contingency -------------------------------------------------------------
@@ -102,6 +102,26 @@ def test_pearson_antisymmetric_under_negation():
     for t in _random_nondegenerate_tables(200, 1):
         negated = ContingencyTable(t.b, t.a, t.d, t.c)
         assert pearson_r(negated) == pytest.approx(-pearson_r(t), abs=1e-12)
+
+
+def test_phi_coefficients_bit_identical_to_scalar_formula():
+    # counts large enough that the marginal product is rounded in float64
+    rng = np.random.default_rng(3)
+    cells = rng.integers(0, 10**6, size=(4, 2000))
+    cells[:, :5] = [[0], [1], [2], [3]]  # small tables too
+    got = phi_coefficients(*cells)
+    for k, (a, b, c, d) in enumerate(cells.T.tolist()):
+        m1, m2, m3, m4 = a + b, c + d, a + c, b + d
+        want = (a * d - b * c) / np.sqrt(
+            float(m1) * float(m2) * float(m3) * float(m4)
+        )
+        assert got[k] == want, (a, b, c, d)
+
+
+def test_phi_coefficients_nan_when_undefined():
+    r = phi_coefficients([5, 3], [5, 1], [0, 1], [0, 3])
+    assert np.isnan(r[0])
+    assert r[1] == pearson_r(ContingencyTable(3, 1, 1, 3)) == 0.5
 
 
 # -- chi-square identity -----------------------------------------------------
@@ -190,14 +210,6 @@ def test_lambda_from_risk_validation():
         lambda_from_risk(0.01, 0)
 
 
-def test_risk_config_band():
-    cfg = RiskConfig(alpha=0.001, planned_tests=100)
-    low, high = cfg.recommended_band
-    assert low == pytest.approx(0.0005)
-    assert high == 0.05
-    assert cfg.threshold(264) == pytest.approx(0.190, abs=0.001)
-
-
 # -- expected counts ---------------------------------------------------------
 
 
@@ -211,6 +223,17 @@ def test_expected_counts_small_cell():
 
 def test_expected_counts_boundary_inclusive():
     assert expected_counts_ok(ContingencyTable(5, 5, 5, 5))
+
+
+@given(st.tuples(*[st.integers(0, 40)] * 4).filter(lambda t: sum(t) > 0))
+@settings(max_examples=300, deadline=None)
+def test_expected_counts_match_division_form(cells):
+    a, b, c, d = cells
+    n = a + b + c + d
+    want = all(
+        row * col / n >= 5.0 for row in (a + b, c + d) for col in (a + c, b + d)
+    )
+    assert expected_counts_ok(ContingencyTable(a, b, c, d)) == want
 
 
 # -- Kendall -----------------------------------------------------------------

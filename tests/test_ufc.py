@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfc.dataset import Dataset
 from boolfc.expr import Not, Prim, canonical_text, evaluate, parse, to_text
 from boolfc.metrics import FeatureSet, report
+from boolfc.stats import contingency
 from boolfc.ufc import (
+    CandidatePair,
     FixedMode,
     RiskMode,
     UfcConfig,
     UfcError,
     construct_new_features,
     count_common,
+    pair_tables,
     prune_obsolete_features,
     search_correlated_pairs,
     ufc_run,
@@ -93,6 +98,107 @@ def test_search_ordering():
     pairs = search_correlated_pairs(fs, 0.1, pruning=False)
     rs = [p.r for p in pairs]
     assert rs == sorted(rs, reverse=True)
+
+
+# -- oracles for the vectorized pair statistics ------------------------------
+
+
+def scalar_search_reference(fs, threshold, pruning):
+    """The per-pair loop that search_correlated_pairs replaced, with its own
+    int64 co-occurrence product and the division form of the
+    expected-frequency rule."""
+    ext = fs.extensions.astype(np.int64)
+    co = ext.T @ ext
+    n = fs.dataset.n
+    out = []
+    for i in range(fs.m):
+        for j in range(i + 1, fs.m):
+            a = int(co[i, j])
+            b = int(co[i, i]) - a
+            c = int(co[j, j]) - a
+            d = n - a - b - c
+            m1, m2, m3, m4 = a + b, c + d, a + c, b + d
+            if min(m1, m2, m3, m4) == 0:
+                continue
+            r = (a * d - b * c) / np.sqrt(
+                float(m1) * float(m2) * float(m3) * float(m4)
+            )
+            if r <= threshold:
+                continue
+            if pruning and not all(
+                row * col / n >= 5.0 for row in (m1, m2) for col in (m3, m4)
+            ):
+                continue
+            out.append(CandidatePair(i, j, float(r)))
+    out.sort(key=lambda p: (-p.r, p.i, p.j))
+    return out
+
+
+def oracle_dataset(n, seed):
+    """Random columns of several densities plus a duplicate, a complement,
+    an all-false and an all-true column."""
+    rng = np.random.default_rng(seed)
+    cols = {f"r{i}": rng.random(n) < p for i, p in enumerate((0.1, 0.5, 0.9, 0.3))}
+    cols["r1copy"] = cols["r1"]
+    cols["r3not"] = ~cols["r3"]
+    cols["zero"] = np.zeros(n, dtype=bool)
+    cols["one"] = np.ones(n, dtype=bool)
+    return dataset_from_columns(cols)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 2000])
+def test_pair_tables_match_contingency(n):
+    d = oracle_dataset(n, seed=n)
+    members = [Prim(name) for name in d.feature_names]
+    members += [parse("r0 & r1"), parse("!r2 & r3")]
+    fs = FeatureSet(members, d)
+    tables = pair_tables(fs)
+    assert tables.shape == (fs.m, fs.m, 4)
+    for i in range(fs.m):
+        for j in range(fs.m):
+            t = contingency(fs.extensions[:, i], fs.extensions[:, j])
+            assert tuple(tables[i, j]) == (t.a, t.b, t.c, t.d), (n, i, j)
+
+
+@st.composite
+def pooled_datasets(draw):
+    """Columns drawn with repetition from a few patterns and their
+    complements, so that many pairs tie on r."""
+    n = draw(st.integers(1, 120))
+    pool = [
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    k = draw(st.integers(2, 9))
+    cols = []
+    for _ in range(k):
+        col = pool[draw(st.integers(0, len(pool) - 1))]
+        cols.append(~col if draw(st.booleans()) else col)
+    return Dataset([f"f{i}" for i in range(k)], np.column_stack(cols))
+
+
+@given(
+    pooled_datasets(),
+    st.floats(-0.5, 0.99, allow_nan=False),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_matches_scalar_loop(d, threshold, pruning):
+    fs = FeatureSet.from_primitives(d)
+    got = search_correlated_pairs(fs, threshold, pruning)
+    assert got == scalar_search_reference(fs, threshold, pruning)
+    assert all(type(p.r) is float and type(p.i) is int for p in got)
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+def test_search_matches_scalar_loop_with_ties(pruning):
+    # duplicated and complemented columns give equal r for many pairs
+    d = oracle_dataset(400, seed=11)
+    fs = FeatureSet.from_primitives(d)
+    want = scalar_search_reference(fs, -0.9, pruning)
+    rs = [p.r for p in want]
+    assert len(set(rs)) < len(rs)
+    assert search_correlated_pairs(fs, -0.9, pruning) == want
 
 
 # -- construction operator ----------------------------------------------------
