@@ -20,22 +20,27 @@ class DatasetError(Exception):
     """Invalid dataset content; message carries the offending line number."""
 
 
+def check_feature_names(names) -> None:
+    """Raise DatasetError unless ``names`` are at least 2 distinct identifiers."""
+    if len(names) < 2:
+        raise DatasetError("a dataset needs at least 2 features")
+    seen = set()
+    for name in names:
+        if not name:
+            raise DatasetError("empty feature name")
+        if not IDENT_RE.fullmatch(name):
+            raise DatasetError(f"invalid feature name {name!r}")
+        if name in seen:
+            raise DatasetError(f"duplicate feature name {name!r}")
+        seen.add(name)
+
+
 class Dataset:
     """Immutable Boolean dataset with column-oriented access."""
 
     def __init__(self, feature_names, matrix: np.ndarray):
         names = [str(s).strip() for s in feature_names]
-        if len(names) < 2:
-            raise DatasetError("a dataset needs at least 2 features")
-        seen = set()
-        for name in names:
-            if not name:
-                raise DatasetError("empty feature name")
-            if not IDENT_RE.fullmatch(name):
-                raise DatasetError(f"invalid feature name {name!r}")
-            if name in seen:
-                raise DatasetError(f"duplicate feature name {name!r}")
-            seen.add(name)
+        check_feature_names(names)
         matrix = np.asarray(matrix, dtype=bool)
         if matrix.ndim != 2 or matrix.shape[1] != len(names):
             raise DatasetError("matrix shape does not match feature names")
@@ -79,12 +84,13 @@ def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
     """Load a strict 0/1 CSV with a header row of feature names.
 
     ``source`` may be a filesystem path, raw bytes, or a text stream.
+    Paths and bytes are UTF-8, with or without a byte-order mark.
     Errors are reported with their 1-based line number.
     """
     if isinstance(source, bytes):
-        stream: TextIO = io.StringIO(source.decode("utf-8"))
+        stream: TextIO = io.StringIO(source.decode("utf-8-sig"))
     elif isinstance(source, str):
-        stream = open(source, "r", encoding="utf-8", newline="")
+        stream = open(source, "r", encoding="utf-8-sig", newline="")
     else:
         stream = source
     try:
@@ -94,16 +100,10 @@ def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
         except StopIteration:
             raise DatasetError("line 1: missing header row") from None
         names = [cell.strip() for cell in header]
-        if len(names) < 2:
-            raise DatasetError("line 1: fewer than 2 features")
-        if len(set(names)) != len(names):
-            dupe = next(s for s in names if names.count(s) > 1)
-            raise DatasetError(f"line 1: duplicate feature name {dupe!r}")
-        for name in names:
-            if not name:
-                raise DatasetError("line 1: empty feature name")
-            if not IDENT_RE.fullmatch(name):
-                raise DatasetError(f"line 1: invalid feature name {name!r}")
+        try:
+            check_feature_names(names)
+        except DatasetError as err:
+            raise DatasetError(f"line 1: {err}") from None
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:

@@ -209,10 +209,6 @@ def evaluate(e: FeatureExpr, dataset) -> np.ndarray:
     return evaluate(e.left, dataset) & evaluate(e.right, dataset)
 
 
-def support(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits))
-
-
 def literal_count(e: FeatureExpr) -> int:
     """Number of distinct leaf literals (primitive plus its immediate sign).
 

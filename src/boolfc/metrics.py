@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -18,25 +19,59 @@ class MetricsError(Exception):
 
 
 class FeatureSet:
-    """Ordered feature expressions bound to a dataset, extensions cached.
+    """Ordered feature expressions bound to a dataset; read-only.
 
-    Members are deduplicated by canonical serialization; the dataset's
-    own columns are the primitive set.
+    A member's identity is its canonical text (``keys``).  Its key,
+    extension column and literal count are derived once, when it enters
+    the set: the constructor rejects duplicate keys, ``extend`` skips
+    them, and ``extend`` and ``select`` reuse what they keep.  The
+    dataset's own columns are the primitive set.
     """
 
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
         if len(members) < 1:
             raise MetricsError("a feature set needs at least one member")
         self.dataset = dataset
-        self.members = tuple(members)
-        self.keys = tuple(ex.canonical_text(e) for e in members)
-        if len(set(self.keys)) != len(self.keys):
-            dupe = next(k for k in self.keys if self.keys.count(k) > 1)
-            raise MetricsError(f"duplicate feature {dupe!r}")
-        cols = [ex.evaluate(e, dataset) for e in members]
-        ext = np.column_stack(cols)
-        ext.setflags(write=False)
-        self.extensions = ext  # (n, m) bool
+        self.members, self.keys, self.literal_counts = (), (), ()
+        self.extensions = np.empty((dataset.n, 0), dtype=bool)  # (n, m)
+        self._append(members, skip_duplicates=False)
+
+    def _append(self, new: Iterable[ex.FeatureExpr], skip_duplicates: bool):
+        seen = set(self.keys)
+        fresh: dict[str, ex.FeatureExpr] = {}  # key -> member, in order
+        for e in new:
+            key = ex.canonical_text(e)
+            if key in seen or key in fresh:
+                if skip_duplicates:
+                    continue  # first occurrence wins
+                raise MetricsError(f"duplicate feature {key!r}")
+            fresh[key] = e
+        self.members += tuple(fresh.values())
+        self.keys += tuple(fresh)
+        self.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
+        cols = [ex.evaluate(e, self.dataset) for e in fresh.values()]
+        self.extensions = np.column_stack([self.extensions, *cols])
+        self.extensions.setflags(write=False)
+
+    def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":
+        """A new set with the members of ``new`` whose key is not yet
+        present appended in order; only those are evaluated."""
+        out = copy.copy(self)
+        out._append(new, skip_duplicates=True)
+        return out
+
+    def select(self, mask) -> "FeatureSet":
+        """A new set of the members where ``mask`` is true, in order."""
+        keep = np.flatnonzero(mask).tolist()
+        if not keep:
+            raise MetricsError("a feature set needs at least one member")
+        out = copy.copy(self)
+        out.members = tuple(self.members[i] for i in keep)
+        out.keys = tuple(self.keys[i] for i in keep)
+        out.literal_counts = tuple(self.literal_counts[i] for i in keep)
+        out.extensions = self.extensions[:, keep]
+        out.extensions.setflags(write=False)
+        return out
 
     @classmethod
     def from_primitives(cls, dataset: Dataset) -> "FeatureSet":
@@ -87,9 +122,8 @@ def complexity_c0(fs: FeatureSet) -> float:
     Floored at 0: a set smaller than the primitives carries no excess.
     """
     k = fs.dataset.k
-    if fs.m <= k:
-        if fs.m == k and fs.key_set() == frozenset(fs.dataset.feature_names):
-            return 0.0
+    if fs.m == k and fs.key_set() == frozenset(fs.dataset.feature_names):
+        return 0.0
     uniq = unique_count(fs.dataset)
     if uniq <= k:
         raise MetricsError(
@@ -100,7 +134,7 @@ def complexity_c0(fs: FeatureSet) -> float:
 
 def avg_length_c1(fs: FeatureSet) -> float:
     """Mean number of distinct literals per feature."""
-    return sum(ex.literal_count(e) for e in fs.members) / fs.m
+    return sum(fs.literal_counts) / fs.m
 
 
 def rms(oi: float, c0: float) -> float:

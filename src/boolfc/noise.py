@@ -41,7 +41,6 @@ def noise_experiment(
     seed: int = 0,
     alpha: float = 0.001,
     pruning: bool = False,
-    hard_cap: int = 100,
 ) -> list[NoiseRow]:
     """For each noise fraction, run the risk-based construction on
     ``replicates`` independently noised copies and collect the five
@@ -49,7 +48,7 @@ def noise_experiment(
     replicate pairs at the same fraction."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    cfg = UfcConfig(RiskMode(alpha, hard_cap), candidate_pruning=pruning)
+    cfg = UfcConfig(RiskMode(alpha), candidate_pruning=pruning)
     baseline = ufc_run(d, cfg).features
 
     rows: list[NoiseRow] = []

@@ -4,7 +4,7 @@ construction operator, pruning, and the fixed / risk-based run modes."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -69,8 +69,8 @@ class UfcConfig:
 
 @dataclass
 class IterationLog:
-    constructed: list[str] = field(default_factory=list)
-    pruned: list[str] = field(default_factory=list)
+    constructed: list[str]
+    pruned: list[str]
 
 
 @dataclass
@@ -158,15 +158,11 @@ def construct_new_features(
 def prune_obsolete_features(fs: FeatureSet, parents: set[str]) -> FeatureSet:
     """Drop zero-support features and the parents of this iteration's
     combinations (parents given by canonical text); order is preserved."""
-    supports = fs.supports()
-    keep = [
-        e
-        for e, key, s in zip(fs.members, fs.keys, supports)
-        if s > 0 and key not in parents
-    ]
-    if not keep:
+    keep = fs.supports() > 0
+    keep &= [key not in parents for key in fs.keys]
+    if not keep.any():
         raise UfcError("pruning removed every feature (degenerate configuration)")
-    return FeatureSet(keep, fs.dataset)
+    return fs.select(keep)
 
 
 def count_common(fs1: FeatureSet, fs2: FeatureSet) -> int:
@@ -180,50 +176,36 @@ def ufc_run(d: Dataset, cfg: UfcConfig) -> RunResult:
     uniq = unique_count(d)
     if uniq <= d.k:
         raise UfcError(f"degenerate dataset: unique rows ({uniq}) <= features ({d.k})")
-    if isinstance(cfg.mode, RiskMode):
+    risk_mode = isinstance(cfg.mode, RiskMode)
+    if risk_mode:
         threshold = lambda_from_risk(cfg.mode.alpha, d.n)
         limit = cfg.mode.hard_cap
-        risk_mode = True
     else:
         threshold = cfg.mode.threshold
         limit = cfg.mode.limit_iter
-        risk_mode = False
-    pruning = cfg.pruning
 
     fs = FeatureSet.from_primitives(d)
     trajectory = [report(fs)]
     logs: list[IterationLog] = []
 
     while True:
-        log = IterationLog()
-        candidates = search_correlated_pairs(fs, threshold, pruning)
+        candidates = search_correlated_pairs(fs, threshold, cfg.pruning)
         used: set[int] = set()
-        parents: set[str] = set()
         children: list[ex.FeatureExpr] = []
-        child_keys: set[str] = set()
         for pair in candidates:
             if pair.i in used or pair.j in used:
                 continue  # remove_candidate: shares a member with a popped pair
             used.update((pair.i, pair.j))
-            parents.update((fs.keys[pair.i], fs.keys[pair.j]))
-            for child in construct_new_features(
-                fs.members[pair.i], fs.members[pair.j]
-            ):
-                key = ex.to_text(child)
-                if key in child_keys or key in fs.keys:
-                    continue
-                child_keys.add(key)
-                children.append(child)
-                log.constructed.append(key)
+            children += construct_new_features(fs.members[pair.i], fs.members[pair.j])
 
-        merged = FeatureSet(list(fs.members) + children, d)
-        new_fs = prune_obsolete_features(merged, parents)
-        log.pruned = [k for k in merged.keys if k not in set(new_fs.keys)]
-
+        merged = fs.extend(children)
+        new_fs = prune_obsolete_features(merged, {fs.keys[i] for i in used})
         if new_fs.keys == fs.keys:
             return RunResult(fs, trajectory, logs, "fixpoint", threshold)
 
-        logs.append(log)
+        kept = set(new_fs.keys)
+        pruned = [k for k in merged.keys if k not in kept]
+        logs.append(IterationLog(list(merged.keys[fs.m:]), pruned))
         prev_fs = fs
         fs = new_fs
         trajectory.append(report(fs))

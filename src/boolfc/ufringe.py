@@ -121,10 +121,8 @@ def ufringe_run(d: Dataset, cfg: UfringeConfig) -> FeatureSet:
     fs = FeatureSet.from_primitives(d)
     while fs.m < cfg.max_features:
         tree = build_clustering_tree(d, fs, cfg)
-        fringe = extract_fringe_features(tree, fs)
-        existing = fs.key_set()
-        new = [f for f in fringe if ex.to_text(f) not in existing]
-        if not new:
+        grown = fs.extend(extract_fringe_features(tree, fs))
+        if grown.m == fs.m:
             break
-        fs = FeatureSet(list(fs.members) + new, d)
+        fs = grown
     return fs

@@ -31,6 +31,34 @@ def test_crlf_and_bytes_input():
     assert d.n == 2 and d.k == 2
 
 
+def test_bom_and_crlf_from_path_and_bytes(tmp_path):
+    plain = load("a,b\n1,0\n0,1\n")
+    raw = "\ufeffa,b\r\n1,0\r\n0,1\r\n".encode("utf-8")
+    path = tmp_path / "bom.csv"
+    path.write_bytes(raw)
+    assert load_dataset(str(path)) == plain
+    assert load_dataset(raw) == plain
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("a", "a dataset needs at least 2 features"),
+        ("a,", "empty feature name"),
+        ("a,b c", "invalid feature name 'b c'"),
+        ("a,b,a", "duplicate feature name 'a'"),
+    ],
+)
+def test_header_errors_match_constructor_with_line_prefix(header, message):
+    with pytest.raises(DatasetError) as from_csv:
+        load(header + "\n" + ",".join("1" * (header.count(",") + 1)) + "\n")
+    assert str(from_csv.value) == "line 1: " + message
+    names = header.split(",")
+    with pytest.raises(DatasetError) as from_names:
+        Dataset(names, np.zeros((1, len(names)), dtype=bool))
+    assert str(from_names.value) == message
+
+
 def test_duplicate_name_rejected():
     with pytest.raises(DatasetError, match="duplicate"):
         load("a,a\n1,0\n")
