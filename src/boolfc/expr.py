@@ -7,16 +7,17 @@ Grammar::
     factor := IDENT | '(' expr ')'
     IDENT  := [A-Za-z_][A-Za-z0-9_-]*
 
-Expressions are immutable values.  Canonical form removes double
-negations and orders the two operands of every conjunction by their
-canonical serialization, so equal expressions have byte-identical
-canonical text.
+Expressions are immutable values.  Each node renders its text once, on
+first use, and keeps it.  Canonical form removes double negations and
+orders the two operands of every conjunction by their canonical
+serialization, so equal expressions have byte-identical canonical text.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
@@ -40,20 +41,42 @@ class UnknownFeatureError(ExprError):
     """Expression references a name absent from the dataset."""
 
 
+# ``text`` is the deterministic, re-parseable rendering using '!', '&' and
+# parens.  Not and And cache it in the instance ``__dict__``; it is not a
+# dataclass field, so ``==``, ``hash`` and ``repr`` stay structural.
+
+
 @dataclass(frozen=True)
 class Prim:
     name: str
+
+    @property
+    def text(self) -> str:
+        return self.name
 
 
 @dataclass(frozen=True)
 class Not:
     child: "FeatureExpr"
 
+    @cached_property
+    def text(self) -> str:
+        if isinstance(self.child, And):
+            return f"!({self.child.text})"
+        return f"!{self.child.text}"
+
 
 @dataclass(frozen=True)
 class And:
     left: "FeatureExpr"
     right: "FeatureExpr"
+
+    @cached_property
+    def text(self) -> str:
+        # '&' is left-associative: only a right-hand conjunction needs parens
+        if isinstance(self.right, And):
+            return f"{self.left.text} & ({self.right.text})"
+        return f"{self.left.text} & {self.right.text}"
 
 
 FeatureExpr = Union[Prim, Not, And]
@@ -160,39 +183,32 @@ def parse(text: str) -> FeatureExpr:
 
 def to_text(e: FeatureExpr) -> str:
     """Deterministic, re-parseable rendering using '!', '&' and parens."""
-    if isinstance(e, Prim):
-        return e.name
-    if isinstance(e, Not):
-        inner = to_text(e.child)
-        if isinstance(e.child, And):
-            return f"!({inner})"
-        return f"!{inner}"
-    # '&' is left-associative: only a right-hand conjunction needs parens
-    left = to_text(e.left)
-    right = to_text(e.right)
-    if isinstance(e.right, And):
-        right = f"({right})"
-    return f"{left} & {right}"
+    return e.text
 
 
 def canonicalize(e: FeatureExpr) -> FeatureExpr:
-    """Remove double negations and sort conjunction operands; idempotent."""
+    """Remove double negations and sort conjunction operands; idempotent.
+
+    A subtree that is already canonical is returned as the same object.
+    """
     if isinstance(e, Prim):
         return e
     if isinstance(e, Not):
         child = canonicalize(e.child)
         if isinstance(child, Not):
             return child.child
-        return Not(child)
+        return e if child is e.child else Not(child)
     left = canonicalize(e.left)
     right = canonicalize(e.right)
-    if to_text(left) <= to_text(right):
-        return And(left, right)
-    return And(right, left)
+    if left.text > right.text:
+        left, right = right, left
+    if left is e.left and right is e.right:
+        return e
+    return And(left, right)
 
 
 def canonical_text(e: FeatureExpr) -> str:
-    return to_text(canonicalize(e))
+    return canonicalize(e).text
 
 
 # ---------------------------------------------------------------------------
@@ -212,25 +228,23 @@ def evaluate(e: FeatureExpr, dataset) -> np.ndarray:
 def literal_count(e: FeatureExpr) -> int:
     """Number of distinct leaf literals (primitive plus its immediate sign).
 
-    A primitive leaf directly under a negation counts as the negative
+    A primitive leaf under an odd run of negations counts as the negative
     literal; the same primitive inside a negated conjunction counts as
-    positive.  Exact duplicates collapse.
+    positive, because a conjunction resets the sign.  Exact duplicates
+    collapse.
     """
     literals: set[tuple[str, bool]] = set()
 
-    def walk(node: FeatureExpr) -> None:
+    def walk(node: FeatureExpr, positive: bool) -> None:
         if isinstance(node, Prim):
-            literals.add((node.name, True))
+            literals.add((node.name, positive))
         elif isinstance(node, Not):
-            if isinstance(node.child, Prim):
-                literals.add((node.child.name, False))
-            else:
-                walk(node.child)
+            walk(node.child, not positive)
         else:
-            walk(node.left)
-            walk(node.right)
+            walk(node.left, True)
+            walk(node.right, True)
 
-    walk(canonicalize(e))
+    walk(e, True)
     return len(literals)
 
 

@@ -89,9 +89,9 @@ def build_clustering_tree(
 
 def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureExpr]:
     """Conjunction of the last two edge-literals of every root-to-leaf
-    path of length >= 2, canonicalized and deduplicated in path order."""
+    path of length >= 2, canonicalized, in path order.  Repeats are kept:
+    ``FeatureSet.extend`` keeps the first occurrence of each key."""
     features: list[ex.FeatureExpr] = []
-    seen: set[str] = set()
 
     def literal(feature_index: int, branch: bool) -> ex.FeatureExpr:
         member = fs.members[feature_index]
@@ -102,10 +102,7 @@ def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureEx
             if len(path) >= 2:
                 (f1, b1), (f2, b2) = path[-2], path[-1]
                 feat = ex.canonicalize(ex.And(literal(f1, b1), literal(f2, b2)))
-                key = ex.to_text(feat)
-                if key not in seen:
-                    seen.add(key)
-                    features.append(feat)
+                features.append(feat)
             return
         walk(node.true_child, path + [(node.split_feature, True)])
         walk(node.false_child, path + [(node.split_feature, False)])

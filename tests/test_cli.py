@@ -102,6 +102,24 @@ def test_module_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows", ["1,0,1\n", "1,0,1\n" * 4],
+                         ids=["one_row", "all_constant"])
+def test_degenerate_dataset(rows, tmp_path, capsys):
+    path = tmp_path / "deg.csv"
+    path.write_text("a,b,c\n" + rows)
+    for mode in (["--risk", "0.001"], ["--lambda", "0.3", "--max-iter", "2"]):
+        assert main(["construct", str(path), *mode,
+                     "--out", str(tmp_path / "x")]) == 1
+        assert "degenerate dataset" in capsys.readouterr().err
+    out = str(tmp_path / "uf")
+    assert main(["construct", str(path), "--algorithm", "ufringe",
+                 "--out", out]) == 0
+    features = load_feature_file(out + ".features.txt")
+    assert [to_text(f) for f in features] == ["a", "b", "c"]
+    assert main(["metrics", str(path), "--features",
+                 out + ".features.txt"]) == 0
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.csv"),
                  "--features", str(tmp_path / "nope.txt")]) == 1

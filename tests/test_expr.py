@@ -122,6 +122,130 @@ def test_canonicalize_idempotent(e):
     assert canonicalize(c) == c
 
 
+# -- reference renderer, canonicalizer and literal counter -------------------
+# The recursive forms that re-render every subtree on each call, kept as
+# the oracle for the nodes' cached text.
+
+
+def ref_to_text(e) -> str:
+    if isinstance(e, Prim):
+        return e.name
+    if isinstance(e, Not):
+        inner = ref_to_text(e.child)
+        if isinstance(e.child, And):
+            return f"!({inner})"
+        return f"!{inner}"
+    left = ref_to_text(e.left)
+    right = ref_to_text(e.right)
+    if isinstance(e.right, And):
+        right = f"({right})"
+    return f"{left} & {right}"
+
+
+def ref_canonicalize(e):
+    if isinstance(e, Prim):
+        return e
+    if isinstance(e, Not):
+        child = ref_canonicalize(e.child)
+        if isinstance(child, Not):
+            return child.child
+        return Not(child)
+    left = ref_canonicalize(e.left)
+    right = ref_canonicalize(e.right)
+    if ref_to_text(left) <= ref_to_text(right):
+        return And(left, right)
+    return And(right, left)
+
+
+def ref_literal_count(e) -> int:
+    literals = set()
+
+    def walk(node):
+        if isinstance(node, Prim):
+            literals.add((node.name, True))
+        elif isinstance(node, Not):
+            if isinstance(node.child, Prim):
+                literals.add((node.child.name, False))
+            else:
+                walk(node.child)
+        else:
+            walk(node.left)
+            walk(node.right)
+
+    walk(ref_canonicalize(e))
+    return len(literals)
+
+
+def rebuild(e):
+    """A structurally equal copy made of fresh nodes."""
+    if isinstance(e, Prim):
+        return Prim(e.name)
+    if isinstance(e, Not):
+        return Not(rebuild(e.child))
+    return And(rebuild(e.left), rebuild(e.right))
+
+
+def subtrees(e):
+    yield e
+    if isinstance(e, Not):
+        yield from subtrees(e.child)
+    elif isinstance(e, And):
+        yield from subtrees(e.left)
+        yield from subtrees(e.right)
+
+
+def check_against_references(e):
+    fresh = rebuild(e)
+    assert to_text(e) == ref_to_text(e)
+    c = canonicalize(e)
+    assert c == ref_canonicalize(e)
+    assert canonical_text(e) == ref_to_text(ref_canonicalize(e))
+    assert literal_count(e) == ref_literal_count(e)
+    for sub in subtrees(c):
+        assert canonicalize(sub) is sub
+    # the cached text is not part of a node's value
+    assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+
+
+# names sharing prefixes, so operand order depends on more than one char
+_many_names = st.sampled_from(["a", "b", "ab", "a_b", "Z"])
+_big_exprs = st.recursive(
+    _many_names.map(Prim),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.tuples(kids, kids).map(lambda t: And(*t)),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_big_exprs)
+@settings(max_examples=500, deadline=None)
+def test_cached_text_matches_recursive_reference(e):
+    check_against_references(e)
+
+
+def test_deep_expressions_match_recursive_reference():
+    # structural == and hash recurse through C as well as Python frames, so
+    # at these depths the reference rendering, which determines the
+    # structure, stands in for ==
+    nested = Prim("x0")
+    for i in range(1, 301):
+        leaf = Prim(f"x{i % 7}")
+        nested = And(leaf, nested) if i % 2 else And(nested, Not(leaf))
+    negated = Prim("a")
+    for _ in range(301):
+        negated = Not(negated)
+    for e in (nested, negated, And(negated, nested)):
+        assert to_text(e) == ref_to_text(e)
+        c = canonicalize(e)
+        assert ref_to_text(c) == ref_to_text(ref_canonicalize(e))
+        assert canonical_text(e) == ref_to_text(c)
+        assert literal_count(e) == ref_literal_count(e)
+        assert all(canonicalize(sub) is sub for sub in subtrees(c))
+    assert canonical_text(negated) == "!a" and literal_count(negated) == 1
+
+
 # -- evaluation --------------------------------------------------------------
 
 

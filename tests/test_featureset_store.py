@@ -201,8 +201,13 @@ def rebuild_ufringe_run(d, cfg):
     while fs.m < cfg.max_features:
         tree = build_clustering_tree(d, fs, cfg)
         fringe = extract_fringe_features(tree, fs)
-        existing = fs.key_set()
-        new = [f for f in fringe if ex.to_text(f) not in existing]
+        # the fringe keeps repeats; keep the first occurrence of each key
+        seen = set(fs.key_set())
+        new = []
+        for f in fringe:
+            if ex.to_text(f) not in seen:
+                seen.add(ex.to_text(f))
+                new.append(f)
         if not new:
             break
         fs = FeatureSet(list(fs.members) + new, d)

@@ -198,11 +198,13 @@ def test_run_grows_monotonically_and_respects_budget():
     # re-run manually to observe per-iteration counts
     while fs.m < cfg.max_features:
         tree = build_clustering_tree(d, fs, cfg)
-        new = [
-            f
-            for f in extract_fringe_features(tree, fs)
-            if canonical_text(f) not in fs.key_set()
-        ]
+        # the fringe keeps repeats; keep the first occurrence of each key
+        seen = set(fs.key_set())
+        new = []
+        for f in extract_fringe_features(tree, fs):
+            if canonical_text(f) not in seen:
+                seen.add(canonical_text(f))
+                new.append(f)
         if not new:
             break
         fs = FeatureSet(list(fs.members) + new, d)
