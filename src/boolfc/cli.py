@@ -8,14 +8,12 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-
-import numpy as np
+from dataclasses import asdict
 
 from . import expr as ex
-from .dataset import Dataset, DatasetError, dump_dataset, load_dataset
+from .dataset import Dataset, DatasetError, load_dataset, save_dataset
 from .metrics import FeatureSet, MetricsError, report
 from .noise import noise_experiment, write_noise_csv
 from .pareto import (
@@ -40,13 +38,15 @@ def _parse_prune(value: str) -> bool:
     return value == "on"
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _open_out(path: str):
+    """Open a file the CLI writes itself: UTF-8 with LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_json(path: str, obj) -> None:
+    with _open_out(path) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,10 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune", type=_parse_prune, default=None,
                    help="candidate pruning on|off (default: on in risk mode)")
     p.add_argument("--max-features", type=int, default=300,
-                   help="feature budget (ufringe)")
+                   help="feature budget (ufringe): a round starts only while "
+                        "fewer features exist, and appends its whole fringe")
     p.add_argument("--min-leaf", type=int, default=5)
     p.add_argument("--max-depth", type=int, default=10)
     p.add_argument("--out", required=True, help="output path prefix")
+    p.set_defaults(run=lambda args: cmd_construct(args, parser))
 
     p = sub.add_parser("sweep", help="grid sweep over lambda and iterations")
     p.add_argument("dataset")
@@ -81,21 +83,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters-max", type=int, required=True)
     p.add_argument("--prune", type=_parse_prune, default=False)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_sweep)
 
     p = sub.add_parser("pareto", help="front + closest point from a sweep CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--front-out", required=True)
     p.add_argument("--closest-out", required=True)
+    p.set_defaults(run=cmd_pareto)
 
     p = sub.add_parser("metrics", help="evaluate a feature file on a dataset")
     p.add_argument("dataset")
     p.add_argument("--features", required=True)
     p.add_argument("--out", help="optional JSON output path")
+    p.set_defaults(run=cmd_metrics)
 
     p = sub.add_parser("transform", help="re-express a dataset with features")
     p.add_argument("dataset")
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_transform)
 
     p = sub.add_parser("noise", help="noise-stability experiment")
     p.add_argument("dataset")
@@ -106,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--risk", type=float, default=0.001)
     p.add_argument("--prune", type=_parse_prune, default=False)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.set_defaults(run=cmd_noise)
 
     return parser
 
@@ -161,10 +168,10 @@ def cmd_construct(args, parser) -> int:
             "algorithm": "ufringe",
             "max_features": cfg.max_features,
             "features": [ex.to_text(e) for e in fs.members],
-            "final_metrics": json.loads(final.to_json()),
+            "final_metrics": asdict(final),
         }
     ex.save_feature_file(fs.members, args.out + ".features.txt")
-    _write_text(args.out + ".run.json", _json_dumps(run_dict))
+    _write_json(args.out + ".run.json", run_dict)
     print(final.to_json())
     return 0
 
@@ -179,9 +186,8 @@ def cmd_sweep(args) -> int:
     thresholds = [args.lambda_from + i * args.lambda_step for i in range(count)]
     thresholds = [t for t in thresholds if t <= args.lambda_to + 1e-12]
     sols = sweep(d, thresholds, range(1, args.iters_max + 1), pruning=args.prune)
-    buf = io.StringIO()
-    write_sweep_csv(sols, buf)
-    _write_text(args.out, buf.getvalue())
+    with _open_out(args.out) as fh:
+        write_sweep_csv(sols, fh)
     return 0
 
 
@@ -189,11 +195,10 @@ def cmd_pareto(args) -> int:
     with open(args.infile, "r", encoding="utf-8") as fh:
         sols = read_sweep_csv(fh)
     front = pareto_front(sols)
-    buf = io.StringIO()
-    write_sweep_csv(front, buf)
-    _write_text(args.front_out, buf.getvalue())
     best = closest_point(sols)
-    _write_text(args.closest_out, _json_dumps(solution_json_dict(best)))
+    with _open_out(args.front_out) as fh:
+        write_sweep_csv(front, fh)
+    _write_json(args.closest_out, solution_json_dict(best))
     return 0
 
 
@@ -203,7 +208,8 @@ def cmd_metrics(args) -> int:
     fs = FeatureSet(exprs, d)
     text = report(fs).to_json()
     if args.out:
-        _write_text(args.out, text + "\n")
+        with _open_out(args.out) as fh:
+            print(text, file=fh)
     print(text)
     return 0
 
@@ -214,10 +220,7 @@ def cmd_transform(args) -> int:
     fs = FeatureSet(exprs, d)
     taken: set[str] = set()
     names = [mangle_name(key, taken) for key in fs.keys]
-    out_ds = Dataset(names, fs.extensions)
-    buf = io.StringIO()
-    dump_dataset(out_ds, buf)
-    _write_text(args.out, buf.getvalue())
+    save_dataset(Dataset(names, fs.extensions), args.out)
     return 0
 
 
@@ -234,9 +237,8 @@ def cmd_noise(args) -> int:
         alpha=args.risk,
         pruning=args.prune,
     )
-    buf = io.StringIO()
-    write_noise_csv(rows, buf)
-    _write_text(args.out, buf.getvalue())
+    with _open_out(args.out) as fh:
+        write_noise_csv(rows, fh)
     return 0
 
 
@@ -244,23 +246,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "construct":
-            return cmd_construct(args, parser)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "pareto":
-            return cmd_pareto(args)
-        if args.command == "metrics":
-            return cmd_metrics(args)
-        if args.command == "transform":
-            return cmd_transform(args)
-        if args.command == "noise":
-            return cmd_noise(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except _ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

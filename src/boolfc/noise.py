@@ -9,7 +9,6 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .dataset import Dataset, inject_noise
-from .metrics import report
 from .ufc import RiskMode, UfcConfig, count_common, ufc_run
 
 NOISE_CSV_HEADER = (
@@ -53,10 +52,12 @@ def noise_experiment(
 
     rows: list[NoiseRow] = []
     for pct_index, pct in enumerate(pcts):
-        feature_sets = []
+        feature_sets, reports = [], []
         for rep in range(replicates):
             noised = inject_noise(d, pct, replicate_seed(seed, pct_index, rep))
-            feature_sets.append(ufc_run(noised, cfg).features)
+            result = ufc_run(noised, cfg)
+            feature_sets.append(result.features)
+            reports.append(result.final_report())
         if replicates > 1:
             pair_counts = [
                 count_common(feature_sets[i], feature_sets[j])
@@ -66,8 +67,7 @@ def noise_experiment(
             common_between = sum(pair_counts) / len(pair_counts)
         else:
             common_between = float(feature_sets[0].m)
-        for rep, fs in enumerate(feature_sets):
-            rep_report = report(fs)
+        for rep, (fs, rep_report) in enumerate(zip(feature_sets, reports)):
             rows.append(
                 NoiseRow(
                     pct=float(pct),

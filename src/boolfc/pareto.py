@@ -108,7 +108,7 @@ def write_sweep_csv(sols: Iterable[Solution], out: TextIO) -> None:
 
 def read_sweep_csv(stream: TextIO) -> list[Solution]:
     reader = csv.reader(stream)
-    header = next(reader)
+    header = next(reader, [])  # an empty file has no header
     if ",".join(h.strip() for h in header) != SWEEP_CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
     out = []

@@ -3,8 +3,7 @@ construction operator, pruning, and the fixed / risk-based run modes."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -86,7 +85,9 @@ class RunResult:
         return len(self.trajectory) - 1
 
     def final_report(self) -> MetricsReport:
-        return report(self.features)
+        """The report of ``features``, taken from the trajectory: on
+        ``rms_minimum`` the last entry belongs to the rejected step."""
+        return self.trajectory[-2 if self.stop_reason == "rms_minimum" else -1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,8 +95,8 @@ class RunResult:
             "stop_reason": self.stop_reason,
             "iterations": self.iterations,
             "features": [ex.to_text(e) for e in self.features.members],
-            "final_metrics": json.loads(self.final_report().to_json()),
-            "trajectory": [json.loads(r.to_json()) for r in self.trajectory],
+            "final_metrics": asdict(self.final_report()),
+            "trajectory": [asdict(r) for r in self.trajectory],
             "constructed": [log.constructed for log in self.logs],
             "pruned": [log.pruned for log in self.logs],
         }

@@ -114,7 +114,11 @@ def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureEx
 def ufringe_run(d: Dataset, cfg: UfringeConfig) -> FeatureSet:
     """Iterate tree construction and fringe extraction from the primitives
     until no new feature appears or the budget is reached.  Old features
-    are never removed."""
+    are never removed.
+
+    ``max_features`` is a soft cap: a round starts only while
+    ``m < max_features``, and each round appends its whole fringe, so the
+    result can exceed the budget by up to one round's new features."""
     fs = FeatureSet.from_primitives(d)
     while fs.m < cfg.max_features:
         tree = build_clustering_tree(d, fs, cfg)

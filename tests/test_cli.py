@@ -77,7 +77,8 @@ def test_construct_ufringe_respects_budget(toy_csv, tmp_path, capsys):
     assert main(["construct", toy_csv, "--algorithm", "ufringe",
                  "--max-features", "12", "--min-leaf", "3", "--out", out]) == 0
     features = load_feature_file(out + ".features.txt")
-    # budget is checked after appending a full tree's yield
+    # a round starts only below the budget and appends its whole fringe,
+    # so the set may end above 12
     assert 4 <= len(features)
     run = json.loads(read_bytes(out + ".run.json"))
     assert run["algorithm"] == "ufringe"
@@ -123,6 +124,28 @@ def test_degenerate_dataset(rows, tmp_path, capsys):
 def test_missing_file_exits_1(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "nope.csv"),
                  "--features", str(tmp_path / "nope.txt")]) == 1
+
+
+@pytest.mark.parametrize(
+    "case", ["pareto-empty", "pareto-header-only", "transform-unknown-feature"]
+)
+def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
+    given = tmp_path / "given"
+    out = tmp_path / "out"
+    out.mkdir()
+    if case == "transform-unknown-feature":
+        given.write_text("w & nope\n")
+        argv = ["transform", toy_csv, "--features", str(given),
+                "--out", str(out / "tf.csv")]
+    else:
+        header = "lambda,limit_iter,num_features,oi,c0,c1,rms\n"
+        given.write_text("" if case == "pareto-empty" else header)
+        argv = ["pareto", "--in", str(given),
+                "--front-out", str(out / "front.csv"),
+                "--closest-out", str(out / "cp.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_pareto_pipeline(toy_csv, tmp_path):

@@ -267,6 +267,7 @@ def test_ufc_run_matches_rebuild_loop(name, mode, pruning):
     assert [(log.constructed, log.pruned) for log in got.logs] == logs
     assert got.stop_reason == stop_reason
     assert got.threshold == threshold
+    assert got.final_report() == report(got.features)
 
 
 @pytest.mark.parametrize("max_features", [12, 40, 300])

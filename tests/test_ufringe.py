@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -210,9 +211,17 @@ def test_run_grows_monotonically_and_respects_budget():
         fs = FeatureSet(list(fs.members) + new, d)
         counts.append(fs.m)
     assert counts == sorted(counts)
-    full = ufringe_run(d, cfg)
+    with mock.patch("boolfc.ufringe.build_clustering_tree",
+                    wraps=build_clustering_tree) as spy:
+        full = ufringe_run(d, cfg)
     assert full.m == fs.m
     assert full.keys == fs.keys
+    # the budget is a soft cap: a round starts only below it and appends
+    # its whole fringe, so the last round may end above it (21 of 20 here)
+    starts = [call.args[1].m for call in spy.call_args_list]
+    assert starts == [d.k] + counts[: len(starts) - 1]
+    assert all(m < cfg.max_features for m in starts)
+    assert full.m > cfg.max_features
     # primitives are never removed
     assert set(d.feature_names) <= set(full.keys)
 
