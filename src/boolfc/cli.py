@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -43,10 +44,27 @@ def _open_out(path: str):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(obj, path: str) -> None:
     with _open_out(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_sweep(sols, path: str) -> None:
+    with _open_out(path) as fh:
+        write_sweep_csv(sols, fh)
+
+
+def _save_all(*saves) -> None:
+    """Call each ``save(data, path)`` in order.  If one fails, remove the
+    files written before it, so a failed command leaves no output."""
+    for i, (save, data, path) in enumerate(saves):
+        try:
+            save(data, path)
+        except BaseException:
+            for _, _, written in saves[:i]:
+                os.remove(written)
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,8 +188,8 @@ def cmd_construct(args, parser) -> int:
             "features": [ex.to_text(e) for e in fs.members],
             "final_metrics": asdict(final),
         }
-    ex.save_feature_file(fs.members, args.out + ".features.txt")
-    _write_json(args.out + ".run.json", run_dict)
+    _save_all((ex.save_feature_file, fs.members, args.out + ".features.txt"),
+              (_write_json, run_dict, args.out + ".run.json"))
     print(final.to_json())
     return 0
 
@@ -186,19 +204,17 @@ def cmd_sweep(args) -> int:
     thresholds = [args.lambda_from + i * args.lambda_step for i in range(count)]
     thresholds = [t for t in thresholds if t <= args.lambda_to + 1e-12]
     sols = sweep(d, thresholds, range(1, args.iters_max + 1), pruning=args.prune)
-    with _open_out(args.out) as fh:
-        write_sweep_csv(sols, fh)
+    _write_sweep(sols, args.out)
     return 0
 
 
 def cmd_pareto(args) -> int:
-    with open(args.infile, "r", encoding="utf-8") as fh:
+    with open(args.infile, "r", encoding="utf-8-sig") as fh:
         sols = read_sweep_csv(fh)
     front = pareto_front(sols)
     best = closest_point(sols)
-    with _open_out(args.front_out) as fh:
-        write_sweep_csv(front, fh)
-    _write_json(args.closest_out, solution_json_dict(best))
+    _save_all((_write_sweep, front, args.front_out),
+              (_write_json, solution_json_dict(best), args.closest_out))
     return 0
 
 

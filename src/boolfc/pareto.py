@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .dataset import Dataset
@@ -131,13 +131,7 @@ def read_sweep_csv(stream: TextIO) -> list[Solution]:
 
 
 def solution_json_dict(s: Solution) -> dict:
-    return {
-        "lambda": s.threshold,
-        "limit_iter": s.limit_iter,
-        "num_features": s.num_features,
-        "oi": s.oi,
-        "c0": s.c0,
-        "c1": s.c1,
-        "rms": s.rms,
-        "features_path": s.features_path,
-    }
+    """The fields of ``s``, with ``threshold`` under its CLI name ``lambda``."""
+    out = asdict(s)
+    out["lambda"] = out.pop("threshold")
+    return out

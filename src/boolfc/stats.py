@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +54,23 @@ def contingency(x: np.ndarray, y: np.ndarray) -> ContingencyTable:
     b = int(np.count_nonzero(x & ~y))
     c = int(np.count_nonzero(~x & y))
     return ContingencyTable(a, b, c, x.size - a - b - c)
+
+
+def cooccurrence(x: np.ndarray) -> np.ndarray:
+    """(m, m) int64 joint true-counts of the columns of an (n, m) Boolean
+    matrix: entry (i, j) is the number of rows where columns i and j are
+    both true, so the diagonal holds the column sums.
+
+    A popcount over bit-packed columns: exact for any n, single threaded,
+    and no wider copy of the matrix is made."""
+    m = x.shape[1]
+    packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
+    words = np.zeros((m, -(-len(packed) // 8)), dtype=np.uint64)  # whole words
+    words.view(np.uint8)[:, : len(packed)] = packed.T  # zero-padded
+    g = np.empty((m, m), dtype=np.int64)
+    for i in range(m):
+        g[i, i:] = g[i:, i] = np.bitwise_count(words[i] & words[i:]).sum(axis=1)
+    return g
 
 
 def phi_coefficients(a, b, c, d) -> np.ndarray:
@@ -166,10 +184,7 @@ def _kendall_s(x: Sequence[float], y: Sequence[float]) -> int:
 
 
 def _tie_sizes(values: Sequence[float]) -> list[int]:
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return [c for c in counts.values() if c > 1]
+    return [c for c in Counter(values).values() if c > 1]
 
 
 def kendall_tau_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:

@@ -4,14 +4,14 @@ construction operator, pruning, and the fixed / risk-based run modes."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
-from .metrics import FeatureSet, MetricsError, MetricsReport, report
-from .stats import expected_counts_mask, lambda_from_risk, phi_coefficients
+from .metrics import FeatureSet, MetricsReport, report
+from .stats import cooccurrence, expected_counts_mask, lambda_from_risk, phi_coefficients
 
 
 class UfcError(Exception):
@@ -103,22 +103,13 @@ class RunResult:
 
 
 def pair_tables(fs: FeatureSet) -> np.ndarray:
-    """(m, m, 4) array of contingency counts a, b, c, d for all pairs.
-
-    a is a popcount over bit-packed columns: exact for any n, single
-    threaded, and no wider copy of the extension matrix is made."""
-    n, m = fs.extensions.shape
-    packed = np.packbits(fs.extensions, axis=0)  # (ceil(n / 8), m) bytes
-    words = np.zeros((m, -(-packed.shape[0] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[0]] = packed.T
-    words = words.view(np.uint64)  # zero-padded to whole 64-bit words
-    a = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        a[i, i:] = a[i:, i] = np.bitwise_count(words[i] & words[i:]).sum(axis=1)
+    """(m, m, 4) array of contingency counts a, b, c, d for all pairs;
+    a is the exact ``cooccurrence`` of the extension matrix."""
+    a = cooccurrence(fs.extensions)
     s = np.diagonal(a)
     b = s[:, None] - a
     c = s[None, :] - a
-    d = n - a - b - c
+    d = fs.dataset.n - a - b - c
     return np.stack([a, b, c, d], axis=-1)
 
 

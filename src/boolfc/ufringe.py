@@ -4,7 +4,7 @@ each root-to-leaf path."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from . import expr as ex
 from .dataset import Dataset
 from .metrics import FeatureSet
+from .stats import cooccurrence
 
 
 @dataclass(frozen=True)
@@ -42,49 +43,51 @@ class TreeNode:
         return self.split_feature is None
 
 
-def cluster_variance(matrix: np.ndarray, rows: np.ndarray) -> float:
-    """Mean squared Euclidean distance to the centroid of the Boolean
-    vectors, which reduces to sum over features of p(1-p)."""
-    if rows.size == 0:
-        return 0.0
-    p = matrix[rows].mean(axis=0)
-    return float((p * (1.0 - p)).sum())
-
-
 def build_clustering_tree(
     d: Dataset, fs: FeatureSet, cfg: UfringeConfig
 ) -> TreeNode:
-    """Greedy top-down tree: each split picks the feature minimizing the
-    size-weighted children variance; ties go to the lowest feature index."""
+    """Greedy top-down tree.  A node's variance is the mean squared
+    distance of its rows to their centroid, which for Boolean vectors is
+    sum over features of p(1-p), p the share of rows where a feature holds.
+
+    Each node below ``max_depth`` with positive variance scores every
+    split at once from the co-occurrence counts G of its rows: splitting
+    on f, the true child's column sums are G[f] and the false child's are
+    diag(G) - G[f].  The split minimizing the size-weighted children
+    variance wins, scanning features in index order and replacing the
+    best only when beaten by more than 1e-12, so near-ties go to the
+    lowest index; the node splits only when that lowers its variance by
+    more than 1e-12 and both children hold at least ``min_leaf`` rows."""
     matrix = fs.extensions
 
-    def grow(rows: np.ndarray, depth: int) -> TreeNode:
-        var = cluster_variance(matrix, rows)
+    def variance(sums: np.ndarray, size) -> np.ndarray:
+        p = sums / size
+        return (p * (1.0 - p)).sum(axis=-1)
+
+    def grow(rows: np.ndarray, depth: int, var: float) -> TreeNode:
         node = TreeNode(rows=rows, variance=var)
         if depth >= cfg.max_depth or var <= 0.0:
             return node
-        best = None  # (weighted_variance, feature_index, mask)
-        for f in range(fs.m):
-            mask = matrix[rows, f]
-            n_true = int(np.count_nonzero(mask))
-            n_false = rows.size - n_true
-            if n_true < cfg.min_leaf or n_false < cfg.min_leaf:
-                continue
-            wv = (
-                n_true * cluster_variance(matrix, rows[mask])
-                + n_false * cluster_variance(matrix, rows[~mask])
-            ) / rows.size
-            if best is None or wv < best[0] - 1e-12:
-                best = (wv, f, mask)
-        if best is None or best[0] >= var - 1e-12:
+        g = cooccurrence(matrix[rows])
+        n_true = np.diagonal(g)
+        n_false = rows.size - n_true
+        (ok,) = np.nonzero((n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf))
+        var_true = variance(g[ok], n_true[ok, None])
+        var_false = variance(n_true - g[ok], n_false[ok, None])
+        scores = ((n_true[ok] * var_true + n_false[ok] * var_false) / rows.size).tolist()
+        best = 0
+        for i, score in enumerate(scores):
+            if score < scores[best] - 1e-12:
+                best = i
+        if not scores or scores[best] >= var - 1e-12:
             return node  # no strict variance reduction available
-        _, f, mask = best
-        node.split_feature = f
-        node.true_child = grow(rows[mask], depth + 1)
-        node.false_child = grow(rows[~mask], depth + 1)
+        mask = matrix[rows, ok[best]]
+        node.split_feature = int(ok[best])
+        node.true_child = grow(rows[mask], depth + 1, float(var_true[best]))
+        node.false_child = grow(rows[~mask], depth + 1, float(var_false[best]))
         return node
 
-    return grow(np.arange(d.n), 0)
+    return grow(np.arange(d.n), 0, float(variance(matrix.sum(axis=0), d.n)))
 
 
 def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureExpr]:

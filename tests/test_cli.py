@@ -127,25 +127,35 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "case", ["pareto-empty", "pareto-header-only", "transform-unknown-feature"]
+    "case",
+    ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
+     "construct-run-json-is-dir", "transform-unknown-feature"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
     out = tmp_path / "out"
     out.mkdir()
+    header = "lambda,limit_iter,num_features,oi,c0,c1,rms\n"
     if case == "transform-unknown-feature":
         given.write_text("w & nope\n")
         argv = ["transform", toy_csv, "--features", str(given),
                 "--out", str(out / "tf.csv")]
+    elif case == "construct-run-json-is-dir":
+        # the features file opens, the run file cannot
+        (out / "x.run.json").mkdir()
+        argv = ["construct", toy_csv, "--risk", "0.01", "--out", str(out / "x")]
     else:
-        header = "lambda,limit_iter,num_features,oi,c0,c1,rms\n"
-        given.write_text("" if case == "pareto-empty" else header)
+        rows = {"pareto-empty": "", "pareto-header-only": header,
+                "pareto-closest-dir-missing": header + "0.1,1,4,0.3,0,1,0.2\n"}
+        given.write_text(rows[case])
+        closest = out / ("nodir" if case == "pareto-closest-dir-missing" else "")
         argv = ["pareto", "--in", str(given),
                 "--front-out", str(out / "front.csv"),
-                "--closest-out", str(out / "cp.json")]
+                "--closest-out", str(closest / "cp.json")]
+    before = sorted(out.iterdir())
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert list(out.iterdir()) == []
+    assert sorted(out.iterdir()) == before
 
 
 def test_sweep_pareto_pipeline(toy_csv, tmp_path):
@@ -163,6 +173,17 @@ def test_sweep_pareto_pipeline(toy_csv, tmp_path):
                  "--closest-out", closest]) == 0
     best = json.loads(read_bytes(closest))
     assert {"lambda", "limit_iter", "oi", "c0"} <= set(best)
+
+    # the same sweep saved with a byte-order mark and CRLF line ends
+    bom_csv = tmp_path / "sweep-bom.csv"
+    crlf = read_bytes(sweep_csv).replace(b"\n", b"\r\n")
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + crlf)
+    front_bom = str(tmp_path / "front-bom.csv")
+    closest_bom = str(tmp_path / "cp-bom.json")
+    assert main(["pareto", "--in", str(bom_csv), "--front-out", front_bom,
+                 "--closest-out", closest_bom]) == 0
+    assert read_bytes(front_bom) == read_bytes(front_csv)
+    assert read_bytes(closest_bom) == read_bytes(closest)
 
 
 def test_metrics_command(toy_csv, tmp_path, capsys):

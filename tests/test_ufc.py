@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from boolfc.dataset import Dataset
 from boolfc.expr import Not, Prim, canonical_text, evaluate, parse, to_text
 from boolfc.metrics import FeatureSet, report
-from boolfc.stats import contingency
+from boolfc.stats import contingency, cooccurrence
 from boolfc.ufc import (
     CandidatePair,
     FixedMode,
@@ -158,6 +158,16 @@ def test_pair_tables_match_contingency(n):
         for j in range(fs.m):
             t = contingency(fs.extensions[:, i], fs.extensions[:, j])
             assert tuple(tables[i, j]) == (t.a, t.b, t.c, t.d), (n, i, j)
+    # the same kernel on n rows taken out of a larger set, as uFRINGE
+    # counts the rows of a tree node
+    ext = FeatureSet(members, oracle_dataset(2000, seed=n)).extensions
+    rows = np.sort(np.random.default_rng(n).choice(2000, size=n, replace=False))
+    sub = ext[rows]
+    g = cooccurrence(sub)
+    assert g.shape == (fs.m, fs.m) and g.dtype == np.int64
+    for i in range(fs.m):
+        for j in range(fs.m):
+            assert g[i, j] == contingency(sub[:, i], sub[:, j]).a, (n, i, j)
 
 
 @st.composite

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfc.dataset import Dataset
 from boolfc.expr import canonical_text, evaluate, parse
@@ -11,7 +13,6 @@ from boolfc.ufringe import (
     TreeNode,
     UfringeConfig,
     build_clustering_tree,
-    cluster_variance,
     extract_fringe_features,
     ufringe_run,
 )
@@ -31,15 +32,22 @@ def leaves(node: TreeNode):
         yield from leaves(node.false_child)
 
 
+def cluster_variance(matrix: np.ndarray, rows: np.ndarray) -> float:
+    """Oracle: sum over features of p(1-p) on the given rows."""
+    p = matrix[rows].mean(axis=0)
+    return float((p * (1.0 - p)).sum())
+
+
 def test_cluster_variance_gini_form():
-    m = np.array([[1, 0], [1, 1], [0, 1], [0, 0]], dtype=bool)
-    rows = np.arange(4)
-    # p = (0.5, 0.5) per column -> sum p(1-p) = 0.5
-    assert cluster_variance(m, rows) == pytest.approx(0.5)
-    # mean squared distance to centroid agrees
+    m = np.array([[1, 0], [1, 1], [0, 1], [0, 0], [1, 1]], dtype=bool)
+    d = Dataset(["a", "b"], m)
+    tree = build_clustering_tree(d, FeatureSet.from_primitives(d), UfringeConfig())
+    # the root holds every row: its variance is the mean squared
+    # Euclidean distance to the centroid
     centroid = m.mean(axis=0)
     msd = float(((m - centroid) ** 2).sum(axis=1).mean())
-    assert cluster_variance(m, rows) == pytest.approx(msd)
+    assert tree.variance == pytest.approx(msd)
+    assert tree.variance == pytest.approx(2 * 0.6 * 0.4)
 
 
 def test_tree_perfect_bisection():
@@ -120,6 +128,94 @@ def test_tree_greedy_matches_exhaustive_on_toy():
             check(node.false_child)
 
         check(tree)
+
+
+def loop_clustering_tree(d, fs, cfg):
+    """Reference: the per-feature split loop, one gather and one mean per
+    (node, feature) pair, with the same tie rule."""
+    matrix = fs.extensions
+
+    def grow(rows, depth):
+        var = cluster_variance(matrix, rows)
+        node = TreeNode(rows=rows, variance=var)
+        if depth >= cfg.max_depth or var <= 0.0:
+            return node
+        best = None
+        for f in range(fs.m):
+            mask = matrix[rows, f]
+            n_true = int(np.count_nonzero(mask))
+            n_false = rows.size - n_true
+            if n_true < cfg.min_leaf or n_false < cfg.min_leaf:
+                continue
+            wv = (
+                n_true * cluster_variance(matrix, rows[mask])
+                + n_false * cluster_variance(matrix, rows[~mask])
+            ) / rows.size
+            if best is None or wv < best[0] - 1e-12:
+                best = (wv, f, mask)
+        if best is None or best[0] >= var - 1e-12:
+            return node
+        _, f, mask = best
+        node.split_feature = f
+        node.true_child = grow(rows[mask], depth + 1)
+        node.false_child = grow(rows[~mask], depth + 1)
+        return node
+
+    return grow(np.arange(d.n), 0)
+
+
+def assert_same_tree(got: TreeNode, want: TreeNode):
+    assert got.split_feature == want.split_feature
+    assert np.array_equal(got.rows, want.rows)
+    assert type(got.variance) is float
+    assert got.variance == want.variance
+    if not want.is_leaf:
+        assert_same_tree(got.true_child, want.true_child)
+        assert_same_tree(got.false_child, want.false_child)
+
+
+@st.composite
+def tie_heavy_datasets(draw):
+    """Columns drawn with repetition from a few patterns, their complements
+    and the two constant columns, so that many splits tie."""
+    n = draw(st.integers(1, 90))
+    pool = [
+        np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    pool.append(np.zeros(n, dtype=bool))
+    cols = []
+    for _ in range(draw(st.integers(2, 8))):
+        col = pool[draw(st.integers(0, len(pool) - 1))]
+        cols.append(~col if draw(st.booleans()) else col)
+    return Dataset([f"f{i}" for i in range(len(cols))], np.column_stack(cols))
+
+
+@given(tie_heavy_datasets(), st.integers(1, 5), st.integers(2, 7))
+@settings(max_examples=300, deadline=None)
+def test_tree_matches_per_feature_loop(d, min_leaf, max_depth):
+    fs = FeatureSet.from_primitives(d)
+    cfg = UfringeConfig(min_leaf=min_leaf, max_depth=max_depth)
+    assert_same_tree(build_clustering_tree(d, fs, cfg),
+                     loop_clustering_tree(d, fs, cfg))
+
+
+def test_tree_matches_per_feature_loop_on_constructed_features():
+    # a second round's feature set: conjunctions of correlated primitives
+    rng = np.random.default_rng(4)
+    base = rng.random(400) < 0.4
+    d = dataset_from_columns({
+        "a": base,
+        "b": base ^ (rng.random(400) < 0.1),
+        "c": rng.random(400) < 0.5,
+        "d": ~base,
+    })
+    fs = FeatureSet.from_primitives(d)
+    cfg = UfringeConfig()
+    fs = fs.extend(extract_fringe_features(build_clustering_tree(d, fs, cfg), fs))
+    assert fs.m > d.k
+    assert_same_tree(build_clustering_tree(d, fs, cfg),
+                     loop_clustering_tree(d, fs, cfg))
 
 
 def test_fringe_complete_depth2_tree():
