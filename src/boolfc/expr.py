@@ -7,10 +7,11 @@ Grammar::
     factor := IDENT | '(' expr ')'
     IDENT  := [A-Za-z_][A-Za-z0-9_-]*
 
-Expressions are immutable values.  Each node renders its text once, on
-first use, and keeps it.  Canonical form removes double negations and
-orders the two operands of every conjunction by their canonical
-serialization, so equal expressions have byte-identical canonical text.
+Expressions are immutable values.  Each node derives its text and its
+canonical form once, on first use, and keeps them.  Canonical form
+removes double negations and orders the two operands of every
+conjunction by their canonical serialization, so equal expressions have
+byte-identical canonical text.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable, Iterator, TextIO, Union
 import numpy as np
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_LITERAL_RE = re.compile("!?" + IDENT_RE.pattern)
 
 
 class ExprError(Exception):
@@ -42,8 +44,10 @@ class UnknownFeatureError(ExprError):
 
 
 # ``text`` is the deterministic, re-parseable rendering using '!', '&' and
-# parens.  Not and And cache it in the instance ``__dict__``; it is not a
-# dataclass field, so ``==``, ``hash`` and ``repr`` stay structural.
+# parens; ``canonical`` is the canonical form, built from the children's
+# canonical forms and the same object when nothing changes.  Not and And
+# cache both in the instance ``__dict__``; they are not dataclass fields,
+# so ``==``, ``hash`` and ``repr`` stay structural.
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,10 @@ class Prim:
     @property
     def text(self) -> str:
         return self.name
+
+    @property
+    def canonical(self) -> "Prim":
+        return self
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,13 @@ class Not:
         if isinstance(self.child, And):
             return f"!({self.child.text})"
         return f"!{self.child.text}"
+
+    @cached_property
+    def canonical(self) -> "FeatureExpr":
+        child = self.child.canonical
+        if isinstance(child, Not):
+            return child.child
+        return self if child is self.child else Not(child)
 
 
 @dataclass(frozen=True)
@@ -77,6 +92,15 @@ class And:
         if isinstance(self.right, And):
             return f"{self.left.text} & ({self.right.text})"
         return f"{self.left.text} & {self.right.text}"
+
+    @cached_property
+    def canonical(self) -> "And":
+        left, right = self.left.canonical, self.right.canonical
+        if left.text > right.text:
+            left, right = right, left
+        if left is self.left and right is self.right:
+            return self
+        return And(left, right)
 
 
 FeatureExpr = Union[Prim, Not, And]
@@ -189,26 +213,14 @@ def to_text(e: FeatureExpr) -> str:
 def canonicalize(e: FeatureExpr) -> FeatureExpr:
     """Remove double negations and sort conjunction operands; idempotent.
 
-    A subtree that is already canonical is returned as the same object.
+    The node's cached canonical form: an expression that is already
+    canonical is returned as the same object.
     """
-    if isinstance(e, Prim):
-        return e
-    if isinstance(e, Not):
-        child = canonicalize(e.child)
-        if isinstance(child, Not):
-            return child.child
-        return e if child is e.child else Not(child)
-    left = canonicalize(e.left)
-    right = canonicalize(e.right)
-    if left.text > right.text:
-        left, right = right, left
-    if left is e.left and right is e.right:
-        return e
-    return And(left, right)
+    return e.canonical
 
 
 def canonical_text(e: FeatureExpr) -> str:
-    return canonicalize(e).text
+    return e.canonical.text
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +243,11 @@ def literal_count(e: FeatureExpr) -> int:
     A primitive leaf under an odd run of negations counts as the negative
     literal; the same primitive inside a negated conjunction counts as
     positive, because a conjunction resets the sign.  Exact duplicates
-    collapse.
+    collapse.  Canonical text has no double negation, so each literal is
+    one token there: a name, or '!' right before a name ('!(' opens a
+    negated conjunction, whose leaves start positive again).
     """
-    literals: set[tuple[str, bool]] = set()
-
-    def walk(node: FeatureExpr, positive: bool) -> None:
-        if isinstance(node, Prim):
-            literals.add((node.name, positive))
-        elif isinstance(node, Not):
-            walk(node.child, not positive)
-        else:
-            walk(node.left, True)
-            walk(node.right, True)
-
-    walk(e, True)
-    return len(literals)
+    return len(set(_LITERAL_RE.findall(e.canonical.text)))
 
 
 # ---------------------------------------------------------------------------

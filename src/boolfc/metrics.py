@@ -156,14 +156,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.oi:.10g},{self.c0:.10g},{self.c1:.10g},"
-            f"{self.rms:.10g},{self.m},{str(self.null_added).lower()}"
-        )
-
-    CSV_HEADER = "oi,c0,c1,rms,m,null_added"
-
 
 def report(fs: FeatureSet) -> MetricsReport:
     oi, null_added = overlapping_index_detail(fs)

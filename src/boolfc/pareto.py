@@ -107,6 +107,8 @@ def write_sweep_csv(sols: Iterable[Solution], out: TextIO) -> None:
 
 
 def read_sweep_csv(stream: TextIO) -> list[Solution]:
+    """Parse a sweep CSV; a malformed row raises ValueError with its
+    1-based line number."""
     reader = csv.reader(stream)
     header = next(reader, [])  # an empty file has no header
     if ",".join(h.strip() for h in header) != SWEEP_CSV_HEADER:
@@ -115,18 +117,25 @@ def read_sweep_csv(stream: TextIO) -> list[Solution]:
     for row in reader:
         if not row:
             continue
-        lam, limit_iter, m, oi, c0, c1, rms_ = row
-        out.append(
-            Solution(
-                threshold=float(lam),
-                limit_iter=int(limit_iter),
-                num_features=int(m),
-                oi=float(oi),
-                c0=float(c0),
-                c1=float(c1),
-                rms=float(rms_),
+        if len(row) != len(header):
+            raise ValueError(
+                f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
             )
-        )
+        lam, limit_iter, m, oi, c0, c1, rms_ = row
+        try:
+            out.append(
+                Solution(
+                    threshold=float(lam),
+                    limit_iter=int(limit_iter),
+                    num_features=int(m),
+                    oi=float(oi),
+                    c0=float(c0),
+                    c1=float(c1),
+                    rms=float(rms_),
+                )
+            )
+        except ValueError as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from None
     return out
 
 

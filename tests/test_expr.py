@@ -198,6 +198,7 @@ def check_against_references(e):
     fresh = rebuild(e)
     assert to_text(e) == ref_to_text(e)
     c = canonicalize(e)
+    assert canonicalize(e) is c
     assert c == ref_canonicalize(e)
     assert canonical_text(e) == ref_to_text(ref_canonicalize(e))
     assert literal_count(e) == ref_literal_count(e)
@@ -207,8 +208,9 @@ def check_against_references(e):
     assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
 
 
-# names sharing prefixes, so operand order depends on more than one char
-_many_names = st.sampled_from(["a", "b", "ab", "a_b", "Z"])
+# names sharing prefixes, so operand order depends on more than one char;
+# with '-' and digits every character class of a name occurs
+_many_names = st.sampled_from(["a", "b", "ab", "a_b", "Z", "a-b", "x1"])
 _big_exprs = st.recursive(
     _many_names.map(Prim),
     lambda kids: st.one_of(

@@ -6,7 +6,6 @@ from boolfc.expr import parse
 from boolfc.metrics import (
     FeatureSet,
     MetricsError,
-    MetricsReport,
     avg_length_c1,
     complexity_c0,
     overlapping_index,
@@ -204,9 +203,6 @@ def test_report_consistency_and_serialization():
     assert rep.c0 == 0.0 and rep.c1 == 1.0
     js = rep.to_json()
     assert '"oi"' in js and '"null_added"' in js
-    row = rep.to_csv_row()
-    assert row.count(",") == 5
-    assert MetricsReport.CSV_HEADER == "oi,c0,c1,rms,m,null_added"
 
 
 def test_featureset_rejects_duplicates():

@@ -180,3 +180,18 @@ def test_sweep_csv_roundtrip():
 def test_read_sweep_csv_rejects_bad_header():
     with pytest.raises(ValueError):
         read_sweep_csv(io.StringIO("nope,nope\n"))
+
+
+_GOOD_ROW = "0.1,2,5,0.25,0.5,2,0.4"
+
+
+def test_read_sweep_csv_short_row_names_line():
+    text = f"{SWEEP_CSV_HEADER}\n{_GOOD_ROW}\n0.1,2,5,0.25,0.5\n"
+    with pytest.raises(ValueError, match=r"^line 3: expected 7 cells, got 5$"):
+        read_sweep_csv(io.StringIO(text))
+
+
+def test_read_sweep_csv_non_numeric_cell_names_line():
+    text = f"{SWEEP_CSV_HEADER}\n{_GOOD_ROW}\n\n0.1,x,5,0.25,0.5,2,0.4\n"
+    with pytest.raises(ValueError, match=r"^line 4: .*'x'"):
+        read_sweep_csv(io.StringIO(text))
