@@ -15,6 +15,7 @@ from .expr import (
     canonical_text,
     canonicalize,
     evaluate,
+    evaluate_batch,
     literal_count,
     parse,
     to_text,

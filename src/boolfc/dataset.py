@@ -3,6 +3,11 @@
 A dataset is an immutable n-by-k Boolean matrix with named columns.
 Feature names must match the identifier grammar of :mod:`boolfc.expr`
 so they can appear in expressions without quoting.
+
+A regular CSV file (the layout ``dump_dataset`` writes, with LF or CRLF
+endings and an optional byte-order mark) is validated and converted as
+one byte array; anything else goes through the strict ``csv`` parser,
+the only code that reports errors.
 """
 
 from __future__ import annotations
@@ -46,8 +51,11 @@ class Dataset:
             raise DatasetError("matrix shape does not match feature names")
         if matrix.shape[0] < 1:
             raise DatasetError("a dataset needs at least 1 row")
-        matrix = matrix.copy()
-        matrix.setflags(write=False)
+        # share a read-only array that owns its data; copy a writeable
+        # array or a view, which its owner could still change
+        if matrix.flags.writeable or not matrix.flags.owndata:
+            matrix = matrix.copy()
+            matrix.setflags(write=False)
         self.feature_names = tuple(names)
         self.name_index = {name: i for i, name in enumerate(names)}
         self._matrix = matrix
@@ -80,6 +88,10 @@ class Dataset:
         return f"Dataset(n={self.n}, k={self.k})"
 
 
+_BOM = b"\xef\xbb\xbf"
+_DUMP_BLOCK_BYTES = 1 << 20  # output bytes per block that dump_dataset writes
+
+
 def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
     """Load a strict 0/1 CSV with a header row of feature names.
 
@@ -87,53 +99,105 @@ def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
     Paths and bytes are UTF-8, with or without a byte-order mark.
     Errors are reported with their 1-based line number.
     """
-    if isinstance(source, bytes):
-        stream: TextIO = io.StringIO(source.decode("utf-8-sig"))
-    elif isinstance(source, str):
-        stream = open(source, "r", encoding="utf-8-sig", newline="")
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    elif isinstance(source, bytes):
+        raw = source
     else:
-        stream = source
+        return _load_strict(source)
+    d = _load_regular(raw)
+    if d is not None:
+        return d
+    if isinstance(source, bytes):
+        return _load_strict(io.StringIO(source.decode("utf-8-sig")))
+    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+        return _load_strict(fh)
+
+
+def _load_regular(raw: bytes) -> Dataset | None:
+    """The dataset of a regular CSV, or None when the file is not regular.
+
+    Regular: an optional byte-order mark; a header line of k valid
+    names, without quotes or carriage returns; one or more data lines,
+    each exactly k cells of 0 or 1 joined by commas; every line ending
+    in LF, or every line in CRLF.
+    """
+    start = len(_BOM) if raw.startswith(_BOM) else 0
+    eol = raw.find(b"\n", start)
+    if eol < 0:
+        return None
+    crlf = raw[eol - 1:eol] == b"\r"
+    header = raw[start:eol - crlf]
+    if b'"' in header or b"\r" in header:
+        return None
     try:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError("line 1: missing header row") from None
-        names = [cell.strip() for cell in header]
-        try:
-            check_feature_names(names)
-        except DatasetError as err:
-            raise DatasetError(f"line 1: {err}") from None
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(names):
-                raise DatasetError(
-                    f"line {lineno}: expected {len(names)} cells, got {len(cells)}"
-                )
-            row = []
-            for cell in cells:
-                cell = cell.strip()
-                if cell == "0":
-                    row.append(False)
-                elif cell == "1":
-                    row.append(True)
-                else:
-                    raise DatasetError(f"line {lineno}: non-binary cell {cell!r}")
-            rows.append(row)
-        if not rows:
-            raise DatasetError("line 2: no data rows")
-        return Dataset(names, np.array(rows, dtype=bool))
-    finally:
-        if isinstance(source, str):
-            stream.close()
+        names = [cell.strip() for cell in next(csv.reader([header.decode()]))]
+        check_feature_names(names)
+    except (UnicodeDecodeError, csv.Error, DatasetError):
+        return None
+    k = len(names)
+    want = np.frombuffer(b"0," * (k - 1) + b"0" + raw[eol - crlf:eol + 1], np.uint8)
+    # '0' and '1' differ only in their lowest bit: mask it out at the cells
+    mask = np.frombuffer(b"\xfe\xff" * k + b"\xff" * crlf, np.uint8)
+    body = np.frombuffer(raw, dtype=np.uint8, offset=eol + 1)
+    if body.size == 0 or body.size % want.size:
+        return None
+    rows = body.reshape(-1, want.size)
+    if not ((rows & mask) == want).all():
+        return None
+    matrix = rows[:, 0:2 * k:2] == ord("1")
+    matrix.setflags(write=False)
+    return Dataset(names, matrix)
+
+
+def _load_strict(stream: TextIO) -> Dataset:
+    """Parse a text stream cell by cell, reporting the first bad line."""
+    reader = csv.reader(stream)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetError("line 1: missing header row") from None
+    names = [cell.strip() for cell in header]
+    try:
+        check_feature_names(names)
+    except DatasetError as err:
+        raise DatasetError(f"line 1: {err}") from None
+    rows = []
+    for lineno, cells in enumerate(reader, start=2):
+        if not cells:
+            continue
+        if len(cells) != len(names):
+            raise DatasetError(
+                f"line {lineno}: expected {len(names)} cells, got {len(cells)}"
+            )
+        row = []
+        for cell in cells:
+            cell = cell.strip()
+            if cell == "0":
+                row.append(False)
+            elif cell == "1":
+                row.append(True)
+            else:
+                raise DatasetError(f"line {lineno}: non-binary cell {cell!r}")
+        rows.append(row)
+    if not rows:
+        raise DatasetError("line 2: no data rows")
+    return Dataset(names, np.array(rows, dtype=bool))
 
 
 def dump_dataset(d: Dataset, out: TextIO) -> None:
+    """Write the header, then the rows in blocks of about
+    ``_DUMP_BLOCK_BYTES``, each block rendered as one byte buffer."""
     out.write(",".join(d.feature_names) + "\n")
-    for row in d.matrix:
-        out.write(",".join("1" if v else "0" for v in row) + "\n")
+    n, k = d.matrix.shape
+    rows = max(1, _DUMP_BLOCK_BYTES // (2 * k))
+    buf = np.full((min(rows, n), 2 * k), ord(","), dtype=np.uint8)
+    buf[:, -1] = ord("\n")
+    for top in range(0, n, rows):
+        block = d.matrix[top:top + rows].view(np.uint8)
+        np.add(block, ord("0"), out=buf[:len(block), 0::2])
+        out.write(buf[:len(block)].tobytes().decode("ascii"))
 
 
 def save_dataset(d: Dataset, path) -> None:
@@ -160,4 +224,5 @@ def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:
         cells = rng.choice(total, size=flips, replace=False)
         flat = matrix.reshape(-1)
         flat[cells] = ~flat[cells]
+    matrix.setflags(write=False)
     return Dataset(d.feature_names, matrix)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -47,7 +47,13 @@ class UnknownFeatureError(ExprError):
 # parens; ``canonical`` is the canonical form, built from the children's
 # canonical forms and the same object when nothing changes.  Not and And
 # cache both in the instance ``__dict__``; they are not dataclass fields,
-# so ``==``, ``hash`` and ``repr`` stay structural.
+# so ``==``, ``hash`` and ``repr`` stay structural.  A node that is its own
+# canonical form caches True, not itself: a node that referred to itself
+# would live on until the cycle collector ran.
+
+
+def _cache_canonical(node, form) -> None:
+    node.__dict__["_canonical"] = True if form is node else form
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,17 @@ class Not:
             return f"!({self.child.text})"
         return f"!{self.child.text}"
 
-    @cached_property
+    @property
     def canonical(self) -> "FeatureExpr":
-        child = self.child.canonical
-        if isinstance(child, Not):
-            return child.child
-        return self if child is self.child else Not(child)
+        form = self.__dict__.get("_canonical")
+        if form is None:
+            child = self.child.canonical
+            if isinstance(child, Not):
+                form = child.child
+            else:
+                form = self if child is self.child else Not(child)
+            _cache_canonical(self, form)
+        return self if form is True else form
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,19 @@ class And:
             return f"{self.left.text} & ({self.right.text})"
         return f"{self.left.text} & {self.right.text}"
 
-    @cached_property
+    @property
     def canonical(self) -> "And":
-        left, right = self.left.canonical, self.right.canonical
-        if left.text > right.text:
-            left, right = right, left
-        if left is self.left and right is self.right:
-            return self
-        return And(left, right)
+        form = self.__dict__.get("_canonical")
+        if form is None:
+            left, right = self.left.canonical, self.right.canonical
+            if left.text > right.text:
+                left, right = right, left
+            if left is self.left and right is self.right:
+                form = self
+            else:
+                form = And(left, right)
+            _cache_canonical(self, form)
+        return self if form is True else form
 
 
 FeatureExpr = Union[Prim, Not, And]
@@ -226,15 +242,51 @@ def canonical_text(e: FeatureExpr) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
+_UNPACK_BLOCK_BYTES = 1 << 20  # bytes of unpacked members per block
+
+
+def evaluate_batch(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
+    """(n, m) bool truth matrix of ``exprs`` over every individual.
+
+    Each distinct canonical subexpression is computed once per batch, as
+    AND / NOT over bit-packed columns; the members' columns are then
+    unpacked a block at a time.  Members are walked in order, left
+    operand first, so the first unknown name is the one a member by
+    member, left to right evaluation meets first.
+    """
+    n = dataset.n
+    packed: dict[str, np.ndarray] = {}  # canonical text -> packbits column
+
+    def pack(e: FeatureExpr) -> np.ndarray:
+        key = e.canonical.text
+        col = packed.get(key)
+        if col is None:
+            if isinstance(e, Prim):
+                if e.name not in dataset.name_index:
+                    raise UnknownFeatureError(f"unknown feature {e.name!r}")
+                col = np.packbits(dataset.column(e.name))
+            elif isinstance(e, Not):
+                col = ~pack(e.child)  # padding bits turn to 1: never unpacked
+            else:
+                col = pack(e.left) & pack(e.right)
+            packed[key] = col
+        return col
+
+    cols = np.empty((len(exprs), -(-n // 8)), dtype=np.uint8)
+    for j, e in enumerate(exprs):
+        cols[j] = pack(e)
+    packed.clear()  # free the subexpressions before the output is written
+    out = np.empty((n, len(exprs)), dtype=bool)
+    step = max(1, _UNPACK_BLOCK_BYTES // n)
+    for j in range(0, len(exprs), step):
+        block = np.unpackbits(cols[j:j + step], axis=1, count=n)
+        out[:, j:j + step] = block.view(bool).T
+    return out
+
+
 def evaluate(e: FeatureExpr, dataset) -> np.ndarray:
     """Truth vector of the expression over every individual (bool array)."""
-    if isinstance(e, Prim):
-        if e.name not in dataset.name_index:
-            raise UnknownFeatureError(f"unknown feature {e.name!r}")
-        return dataset.column(e.name)
-    if isinstance(e, Not):
-        return ~evaluate(e.child, dataset)
-    return evaluate(e.left, dataset) & evaluate(e.right, dataset)
+    return evaluate_batch([e], dataset)[:, 0]
 
 
 def literal_count(e: FeatureExpr) -> int:

@@ -49,8 +49,10 @@ class FeatureSet:
         self.members += tuple(fresh.values())
         self.keys += tuple(fresh)
         self.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        cols = [ex.evaluate(e, self.dataset) for e in fresh.values()]
-        self.extensions = np.column_stack([self.extensions, *cols])
+        cols = ex.evaluate_batch(tuple(fresh.values()), self.dataset)
+        if self.extensions.shape[1]:
+            cols = np.hstack([self.extensions, cols])
+        self.extensions = cols
         self.extensions.setflags(write=False)
 
     def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolfc import dataset as ds
 from boolfc.dataset import (
     Dataset,
     DatasetError,
@@ -179,3 +180,149 @@ def test_dataset_immutable():
     d = load("a,b\n1,0\n")
     with pytest.raises(ValueError):
         d.matrix[0, 0] = False
+
+
+def test_dataset_keeps_its_own_copy_of_a_writeable_matrix():
+    source = np.zeros((2, 2), dtype=bool)
+    d = Dataset(["a", "b"], source)
+    source[0, 0] = True
+    assert not d.matrix.any()
+
+
+def test_dataset_shares_only_a_read_only_matrix_that_owns_its_data():
+    owner = np.zeros((2, 2), dtype=bool)
+    owner.setflags(write=False)
+    assert Dataset(["a", "b"], owner).matrix is owner
+    base = np.zeros((2, 3), dtype=bool)
+    view = base[:, :2]
+    view.setflags(write=False)
+    d = Dataset(["a", "b"], view)
+    base[0, 0] = True
+    assert not d.matrix.any()
+
+
+# -- regular-file fast path against the strict parser --------------------------
+
+
+def outcome(load):
+    """A loaded Dataset, or the text of the DatasetError the load raised."""
+    try:
+        return load()
+    except DatasetError as err:
+        return f"DatasetError: {err}"
+
+
+def csv_lines(matrix) -> list[bytes]:
+    header = ",".join(f"f{j}" for j in range(matrix.shape[1]))
+    rows = [",".join("1" if v else "0" for v in row) for row in matrix]
+    return [line.encode() for line in [header, *rows]]
+
+
+def _space(lines, i):
+    lines[i] = lines[i].replace(b",", b", ", 1)
+
+
+def _blank(lines, i):
+    lines.insert(i, b"")
+
+
+def _two(lines, i):
+    lines[i] = b"2" + lines[i][1:]
+
+
+def _short(lines, i):
+    lines[i] = lines[i].rsplit(b",", 1)[0]
+
+
+def _quoted_header(lines, i):
+    lines[0] = b'"' + lines[0].replace(b",", b'",', 1)
+
+
+# each makes a file the fast path must decline; the strict parser then
+# loads it or reports the error
+IRREGULAR = {
+    "space": _space,
+    "blank line": _blank,
+    "non-binary cell": _two,
+    "short row": _short,
+    "quoted header": _quoted_header,
+    "missing final newline": None,
+    "mixed endings": None,
+}
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 5),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, *IRREGULAR]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular, data):
+    matrix = data.draw(st.lists(
+        st.lists(st.booleans(), min_size=k, max_size=k), min_size=n, max_size=n,
+    ))
+    lines = csv_lines(np.array(matrix, dtype=bool))
+    mutate = IRREGULAR.get(irregular)
+    if mutate is not None:
+        mutate(lines, data.draw(st.integers(1, n)))
+    eol = b"\r\n" if crlf else b"\n"
+    raw = b"".join(line + eol for line in lines)
+    if irregular == "missing final newline":
+        raw = raw[:-len(eol)]
+    elif irregular == "mixed endings":
+        raw = raw[:-len(eol)] + (b"\n" if crlf else b"\r\n")
+    if bom:
+        raw = "\ufeff".encode() + raw
+
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(raw)
+    want = outcome(lambda: load_dataset(io.StringIO(raw.decode("utf-8-sig"))))
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        want_from_path = outcome(lambda: load_dataset(fh))
+    assert outcome(lambda: load_dataset(raw)) == want
+    assert outcome(lambda: load_dataset(str(path))) == want_from_path
+
+    fast = ds._load_regular(raw)
+    if irregular is None:
+        assert fast is not None and fast == want == want_from_path
+    else:
+        assert fast is None
+
+
+def test_load_declines_header_only_and_empty_input():
+    for raw in (b"", b"a,b", b"a,b\n", "\ufeffa,b\r\n".encode()):
+        assert ds._load_regular(raw) is None
+    with pytest.raises(DatasetError, match="line 2: no data rows"):
+        load_dataset(b"a,b\n")
+    with pytest.raises(DatasetError, match="line 1: missing header row"):
+        load_dataset(b"")
+
+
+# -- blocked writer against the per-row writer ---------------------------------
+
+
+def per_row_dump(d: Dataset, out) -> None:
+    """One join per row: the writer that dump_dataset's blocks replaced."""
+    out.write(",".join(d.feature_names) + "\n")
+    for row in d.matrix:
+        out.write(",".join("1" if v else "0" for v in row) + "\n")
+
+
+WIDE = 300
+BLOCK_ROWS = ds._DUMP_BLOCK_BYTES // (2 * WIDE)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dump_equals_per_row_writer(n, order):
+    matrix = np.random.default_rng(n).random((n, WIDE)) < 0.5
+    matrix = np.asarray(matrix, order=order)
+    matrix.setflags(write=False)  # shared as is, so the F layout reaches dump
+    d = Dataset([f"f{j}" for j in range(WIDE)], matrix)
+    got, want = io.StringIO(), io.StringIO()
+    dump_dataset(d, got)
+    per_row_dump(d, want)
+    assert got.getvalue() == want.getvalue()

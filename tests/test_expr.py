@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from boolfc.expr import (
     canonicalize,
     dump_features,
     evaluate,
+    evaluate_batch,
     iter_feature_lines,
     literal_count,
     parse,
@@ -227,6 +230,34 @@ def test_cached_text_matches_recursive_reference(e):
     check_against_references(e)
 
 
+@pytest.mark.parametrize("text", ["a & b", "!a", "!(a & b) & c"])
+def test_canonical_node_holds_no_reference_to_itself(text):
+    gc.disable()
+    try:
+        c = canonicalize(parse(text))
+        assert canonicalize(c) is c
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_canonical_form_costs_one_frame_per_level():
+    # 800 levels fit under the default recursion limit of 1000 only if the
+    # first read of each node's canonical form stacks a single frame
+    leaf = Prim("a")
+    negated, nested = leaf, leaf
+    for i in range(800):
+        negated = Not(negated)
+        nested = And(nested, Prim(f"x{i % 3}"))
+    d = Dataset(["a", "x0", "x1", "x2"], np.ones((3, 4), dtype=bool))
+    assert canonicalize(negated) is leaf
+    assert canonical_text(negated) == "a" and literal_count(negated) == 1
+    assert literal_count(nested) == 4
+    assert evaluate(negated, d).all() and evaluate(nested, d).all()
+
+
 def test_deep_expressions_match_recursive_reference():
     # structural == and hash recurse through C as well as Python frames, so
     # at these depths the reference rendering, which determines the
@@ -299,6 +330,66 @@ def test_canonicalize_preserves_extension(e):
     rng = np.random.default_rng(1)
     d = small_dataset(rng.random((12, 3)) < 0.5)
     assert np.array_equal(evaluate(e, d), evaluate(canonicalize(e), d))
+
+
+def ref_evaluate(e, dataset):
+    """Recursive, member by member evaluation over bool columns."""
+    if isinstance(e, Prim):
+        if e.name not in dataset.name_index:
+            raise UnknownFeatureError(f"unknown feature {e.name!r}")
+        return dataset.column(e.name)
+    if isinstance(e, Not):
+        return ~ref_evaluate(e.child, dataset)
+    return ref_evaluate(e.left, dataset) & ref_evaluate(e.right, dataset)
+
+
+# n around byte and word boundaries: '!' sets the padding bits of a packed
+# column, which must never reach an unpacked one
+_BATCH_SIZES = [1, 7, 8, 9, 63, 64, 65]
+
+
+@pytest.mark.parametrize("n", _BATCH_SIZES)
+@given(st.lists(_exprs, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_batch_matches_recursive_reference(n, exprs):
+    d = small_dataset(np.random.default_rng(n).random((n, 3)) < 0.5)
+    got = evaluate_batch(exprs, d)
+    assert got.shape == (n, len(exprs)) and got.dtype == bool
+    for j, e in enumerate(exprs):
+        assert np.array_equal(got[:, j], ref_evaluate(e, d))
+        assert np.array_equal(evaluate(e, d), got[:, j])
+
+
+# 'y' and 'z' are not columns of the dataset
+_exprs_with_unknowns = st.recursive(
+    st.sampled_from(["a", "b", "y", "z"]).map(Prim),
+    lambda kids: st.one_of(
+        kids.map(Not),
+        st.tuples(kids, kids).map(lambda t: And(*t)),
+    ),
+    max_leaves=6,
+)
+
+
+@given(st.lists(_exprs_with_unknowns, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_evaluate_batch_raises_the_first_unknown_name(exprs):
+    d = small_dataset(np.random.default_rng(0).random((9, 3)) < 0.5)
+    try:
+        want = [ref_evaluate(e, d) for e in exprs]
+    except UnknownFeatureError as err:
+        with pytest.raises(UnknownFeatureError) as got:
+            evaluate_batch(exprs, d)
+        assert str(got.value) == str(err)
+    else:
+        assert np.array_equal(evaluate_batch(exprs, d), np.column_stack(want))
+
+
+def test_evaluate_batch_first_unknown_in_member_order_not_canonical_order():
+    d = small_dataset([[1, 0, 1]])
+    # canonical form swaps the operands of 'z & y'; the error names 'z'
+    with pytest.raises(UnknownFeatureError, match="'z'"):
+        evaluate_batch([parse("a & b"), parse("z & y"), parse("y")], d)
 
 
 # -- literal counting --------------------------------------------------------

@@ -64,6 +64,17 @@ def assert_same_set(got: FeatureSet, want: FeatureSet):
     assert not got.extensions.flags.writeable
 
 
+class BatchCalls:
+    """Records the members of each batch given to ``expr.evaluate_batch``."""
+
+    def __init__(self, fn):
+        self.fn, self.batches = fn, []
+
+    def __call__(self, exprs, dataset):
+        self.batches.append(list(exprs))
+        return self.fn(exprs, dataset)
+
+
 class TopLevelCalls:
     """Records the top-level calls of a recursive ``expr`` function."""
 
@@ -88,12 +99,12 @@ def test_extend_equals_fresh_set_and_derives_only_new_members(a, b):
     before = (fs.members, fs.keys, fs.literal_counts, fs.extensions.copy())
     new_in_b = first_occurrences(b, fs.keys)
 
-    evaluate = TopLevelCalls(ex.evaluate)
+    evaluate = BatchCalls(ex.evaluate_batch)
     literal_count = TopLevelCalls(ex.literal_count)
-    with mock.patch.object(ex, "evaluate", evaluate), \
+    with mock.patch.object(ex, "evaluate_batch", evaluate), \
             mock.patch.object(ex, "literal_count", literal_count):
         grown = fs.extend(b)
-    assert evaluate.args == new_in_b
+    assert evaluate.batches == [new_in_b]
     assert literal_count.args == new_in_b
 
     assert_same_set(grown, FeatureSet(a + new_in_b, D))
@@ -112,10 +123,10 @@ def test_select_equals_fresh_set_of_masked_members(members, data):
         with pytest.raises(MetricsError):
             fs.select(np.array(mask))
         return
-    evaluate = TopLevelCalls(ex.evaluate)
-    with mock.patch.object(ex, "evaluate", evaluate):
+    evaluate = BatchCalls(ex.evaluate_batch)
+    with mock.patch.object(ex, "evaluate_batch", evaluate):
         got = fs.select(np.array(mask))
-    assert evaluate.args == []
+    assert evaluate.batches == []
     assert_same_set(got, FeatureSet(kept, D))
 
 
