@@ -109,10 +109,7 @@ def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
     d = _load_regular(raw)
     if d is not None:
         return d
-    if isinstance(source, bytes):
-        return _load_strict(io.StringIO(source.decode("utf-8-sig")))
-    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-        return _load_strict(fh)
+    return _load_strict(io.StringIO(raw.decode("utf-8-sig"), newline=""))
 
 
 def _load_regular(raw: bytes) -> Dataset | None:

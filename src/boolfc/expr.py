@@ -3,9 +3,9 @@
 Grammar::
 
     expr   := term ('&' term)*          ('&' is left-associative)
-    term   := ('!')* factor             ('!' binds tighter than '&')
+    term   := '!'* factor               ('!' binds tighter than '&')
     factor := IDENT | '(' expr ')'
-    IDENT  := [A-Za-z_][A-Za-z0-9_-]*
+    IDENT  := IDENT_RE: a letter or '_', then letters, digits, '_' or '-'
 
 Expressions are immutable values.  Each node derives its text and its
 canonical form once, on first use, and keeps them.  Canonical form
@@ -32,7 +32,7 @@ class ExprError(Exception):
 
 
 class SyntaxError_(ExprError):
-    """Malformed expression text; carries the byte offset of the problem."""
+    """Malformed expression text; carries the character offset of the problem."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -125,97 +125,56 @@ FeatureExpr = Union[Prim, Not, And]
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_-]*)|(?P<op>[!&()]))")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # skip trailing whitespace
-            if text[pos:].strip() == "":
-                break
-            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            raise SyntaxError_(f"unexpected character {text[bad]!r}", bad)
-        if m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        offset = tok[2] if tok is not None else len(self.text)
-        raise SyntaxError_(message, offset)
-
-    def parse_expr(self) -> FeatureExpr:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] != "&":
-                return node
-            self.next()
-            node = And(node, self.parse_term())
-
-    def parse_term(self) -> FeatureExpr:
-        negs = 0
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[1] == "!":
-                self.next()
-                negs += 1
-            else:
-                break
-        node = self.parse_factor()
-        for _ in range(negs):
-            node = Not(node)
-        return node
-
-    def parse_factor(self) -> FeatureExpr:
-        tok = self.peek()
-        if tok is None:
-            self.fail("unexpected end of input")
-        kind, value, _ = tok
-        if kind == "ident":
-            self.next()
-            return Prim(value)
-        if value == "(":
-            self.next()
-            node = self.parse_expr()
-            closing = self.peek()
-            if closing is None or closing[1] != ")":
-                self.fail("expected ')'")
-            self.next()
-            return node
-        self.fail(f"unexpected token {value!r}")
+# a name, an operator, or any other visible character (an error);
+# whitespace between tokens matches nothing and is skipped
+_TOKEN_RE = re.compile(IDENT_RE.pattern + r"|[!&()]|(?P<bad>\S)")
 
 
 def parse(text: str) -> FeatureExpr:
-    """Parse expression text, raising SyntaxError_ with a byte offset."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    if parser.peek() is not None:
-        parser.fail("trailing input")
-    return node
+    """Parse expression text, raising SyntaxError_ with a character offset.
+
+    The whole text is tokenized first, so a bad character is reported
+    before any syntax error.  Groups are kept on an explicit stack, so
+    nesting depth is not limited by Python's recursion limit.
+    """
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise SyntaxError_(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((m[0], m.start()))
+    tokens.append((None, len(text)))
+    stack = []  # (conjunction, pending '!' count) outside each open '('
+    node, negs, want_term = None, 0, True
+    for value, offset in tokens:
+        if want_term:
+            if value == "!":
+                negs += 1
+                continue
+            if value == "(":
+                stack.append((node, negs))
+                node, negs = None, 0
+                continue
+            if value is None:
+                raise SyntaxError_("unexpected end of input", offset)
+            if value in ("&", ")"):
+                raise SyntaxError_(f"unexpected token {value!r}", offset)
+            term = Prim(value)
+        elif value == "&":
+            want_term = True
+            continue
+        elif value == ")" and stack:
+            term = node
+            node, negs = stack.pop()
+        elif stack:
+            raise SyntaxError_("expected ')'", offset)
+        elif value is None:
+            return node
+        else:
+            raise SyntaxError_("trailing input", offset)
+        for _ in range(negs):
+            term = Not(term)
+        node = term if node is None else And(node, term)
+        negs, want_term = 0, False
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +265,18 @@ def literal_count(e: FeatureExpr) -> int:
 # feature-set text files: one expression per line, '#' comments, blanks ignored
 
 def iter_feature_lines(lines: Iterable[str]) -> Iterator[FeatureExpr]:
-    for raw in lines:
+    """Parse each expression line; a SyntaxError_ names its 1-based line,
+    and its offset counts from the start of the stripped line."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield parse(line)
+        try:
+            e = parse(line)
+        except SyntaxError_ as err:
+            err.args = (f"line {lineno}: {err}",)
+            raise
+        yield e
 
 
 def load_feature_file(path) -> list[FeatureExpr]:

@@ -194,6 +194,14 @@ def test_metrics_command(toy_csv, tmp_path, capsys):
     assert rec["m"] == 3
 
 
+def test_metrics_names_the_line_of_a_bad_feature(toy_csv, tmp_path, capsys):
+    feats = tmp_path / "bad.txt"
+    feats.write_text("# features\nw & x\n\n  !(a & @)\nz\n")
+    assert main(["metrics", toy_csv, "--features", str(feats)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 4: unexpected character '@' (at offset 6)\n"
+
+
 def test_transform_roundtrips_and_matches_extensions(toy_csv, tmp_path):
     feats = tmp_path / "f.txt"
     feats.write_text("w & x\n!w & x\ny\nz\n")

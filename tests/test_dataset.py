@@ -41,6 +41,15 @@ def test_bom_and_crlf_from_path_and_bytes(tmp_path):
     assert load_dataset(raw) == plain
 
 
+@pytest.mark.parametrize("raw", [b"a,b\r1,0\r0,1\r", b"a,b\n1,0\r0,1\n"],
+                         ids=["cr_only", "lone_cr"])
+def test_cr_line_ends_load_alike_from_bytes_and_path(raw, tmp_path):
+    path = tmp_path / "cr.csv"
+    path.write_bytes(raw)
+    want = Dataset(["a", "b"], np.array([[1, 0], [0, 1]], dtype=bool))
+    assert load_dataset(raw) == load_dataset(str(path)) == want
+
+
 @pytest.mark.parametrize(
     "header, message",
     [

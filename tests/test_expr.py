@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import weakref
 
 import numpy as np
@@ -81,6 +82,128 @@ def test_parse_error_offsets():
         parse("a b")
     with pytest.raises(SyntaxError_):
         parse("")
+    # offsets count characters, not UTF-8 bytes
+    for text, offset in (("\u00e9", 0), ("\u00a0\u2028@", 2)):
+        with pytest.raises(SyntaxError_) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+
+# -- reference parser ----------------------------------------------------------
+# The regex tokenizer and recursive-descent parser that ``parse`` replaced,
+# kept as the oracle for its trees, messages and offsets.
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_-]*)|(?P<op>[!&()]))")
+
+
+def ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip() == "":
+                break
+            bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
+            raise SyntaxError_(f"unexpected character {text[bad]!r}", bad)
+        if m.group("ident") is not None:
+            tokens.append(("ident", m.group("ident"), m.start("ident")))
+        else:
+            tokens.append(("op", m.group("op"), m.start("op")))
+        pos = m.end()
+    return tokens
+
+
+class RefParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = ref_tokenize(text)
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is not None:
+            self.i += 1
+        return tok
+
+    def fail(self, message):
+        tok = self.peek()
+        raise SyntaxError_(message, tok[2] if tok is not None else len(self.text))
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while True:
+            tok = self.peek()
+            if tok is None or tok[1] != "&":
+                return node
+            self.next()
+            node = And(node, self.parse_term())
+
+    def parse_term(self):
+        negs = 0
+        while self.peek() is not None and self.peek()[1] == "!":
+            self.next()
+            negs += 1
+        node = self.parse_factor()
+        for _ in range(negs):
+            node = Not(node)
+        return node
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok is None:
+            self.fail("unexpected end of input")
+        kind, value, _ = tok
+        if kind == "ident":
+            self.next()
+            return Prim(value)
+        if value == "(":
+            self.next()
+            node = self.parse_expr()
+            closing = self.peek()
+            if closing is None or closing[1] != ")":
+                self.fail("expected ')'")
+            self.next()
+            return node
+        self.fail(f"unexpected token {value!r}")
+
+
+def ref_parse(text):
+    parser = RefParser(text)
+    node = parser.parse_expr()
+    if parser.peek() is not None:
+        parser.fail("trailing input")
+    return node
+
+
+def parse_outcome(parse_fn, text):
+    """The parsed tree, or the (message, offset) of the SyntaxError_."""
+    try:
+        return parse_fn(text)
+    except SyntaxError_ as err:
+        return str(err), err.offset
+
+
+# names, operators, ASCII and Unicode whitespace, and stray characters
+_PARSE_PIECES = st.sampled_from([
+    "a", "b", "x_1", "Foo-2", "_", "!", "&", "(", ")", "!(", "a)", "(a", " & ",
+    " ", "\t", "\u00a0", "\u2028", "\x1c", "@", "1", "-", "\u00e9", "#", "|",
+])
+
+
+@given(st.lists(_PARSE_PIECES, max_size=16).map("".join))
+@settings(max_examples=2000, deadline=None)
+def test_parse_matches_recursive_descent_reference(text):
+    assert parse_outcome(parse, text) == parse_outcome(ref_parse, text)
+
+
+def test_parse_nesting_is_not_limited_by_recursion():
+    assert parse("(" * 5000 + "a" + ")" * 5000) == Prim("a")
+    e = parse("!(" * 3000 + "a" + " & b)" * 3000)
+    assert e.child.right == Prim("b") and isinstance(e.child.left, Not)
 
 
 # -- canonicalization --------------------------------------------------------
@@ -427,3 +550,13 @@ def test_feature_file_roundtrip():
 def test_feature_file_comments_and_blanks():
     text = "# header comment\n\na & b\n  \n!c\n"
     assert list(iter_feature_lines(text.splitlines())) == [parse("a & b"), parse("!c")]
+
+
+def test_feature_file_error_names_its_line():
+    lines = ["# comment", "a & b", "", "  !(a & @)", "c"]
+    with pytest.raises(SyntaxError_) as err:
+        list(iter_feature_lines(lines))
+    assert str(err.value) == "line 4: unexpected character '@' (at offset 6)"
+    assert err.value.offset == 6
+    with pytest.raises(SyntaxError_, match=r"^line 2: expected '\)' \(at offset 6\)$"):
+        list(iter_feature_lines(["a", "a & (b"]))
