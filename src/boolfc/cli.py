@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from . import expr as ex
 from .dataset import Dataset, DatasetError, load_dataset, save_dataset
-from .metrics import FeatureSet, MetricsError, report
+from .metrics import DuplicateFeatureError, FeatureSet, MetricsError, report
 from .noise import noise_experiment, write_noise_csv
 from .pareto import (
     closest_point,
@@ -218,10 +218,20 @@ def cmd_pareto(args) -> int:
     return 0
 
 
+def _load_feature_set(path, d: Dataset) -> FeatureSet:
+    """The features of a feature file on ``d``; a duplicate or unknown
+    feature names its line, as a syntax error does."""
+    exprs = ex.load_feature_file(path)
+    try:
+        return FeatureSet(exprs, d)
+    except (DuplicateFeatureError, ex.UnknownFeatureError) as err:
+        err.args = (f"line {exprs.lines[err.member]}: {err}",)
+        raise
+
+
 def cmd_metrics(args) -> int:
     d = load_dataset(args.dataset)
-    exprs = ex.load_feature_file(args.features)
-    fs = FeatureSet(exprs, d)
+    fs = _load_feature_set(args.features, d)
     text = report(fs).to_json()
     if args.out:
         with _open_out(args.out) as fh:
@@ -232,8 +242,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_transform(args) -> int:
     d = load_dataset(args.dataset)
-    exprs = ex.load_feature_file(args.features)
-    fs = FeatureSet(exprs, d)
+    fs = _load_feature_set(args.features, d)
     taken: set[str] = set()
     names = [mangle_name(key, taken) for key in fs.keys]
     save_dataset(Dataset(names, fs.extensions), args.out)

@@ -40,7 +40,10 @@ class SyntaxError_(ExprError):
 
 
 class UnknownFeatureError(ExprError):
-    """Expression references a name absent from the dataset."""
+    """Expression references a name absent from the dataset; ``member`` is
+    the index of that expression in the batch being evaluated."""
+
+    member: int | None = None
 
 
 # ``text`` is the deterministic, re-parseable rendering using '!', '&' and
@@ -233,7 +236,11 @@ def evaluate_batch(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
 
     cols = np.empty((len(exprs), -(-n // 8)), dtype=np.uint8)
     for j, e in enumerate(exprs):
-        cols[j] = pack(e)
+        try:
+            cols[j] = pack(e)
+        except UnknownFeatureError as err:
+            err.member = j
+            raise
     packed.clear()  # free the subexpressions before the output is written
     out = np.empty((n, len(exprs)), dtype=bool)
     step = max(1, _UNPACK_BLOCK_BYTES // n)
@@ -264,9 +271,17 @@ def literal_count(e: FeatureExpr) -> int:
 # ---------------------------------------------------------------------------
 # feature-set text files: one expression per line, '#' comments, blanks ignored
 
-def iter_feature_lines(lines: Iterable[str]) -> Iterator[FeatureExpr]:
-    """Parse each expression line; a SyntaxError_ names its 1-based line,
-    and its offset counts from the start of the stripped line."""
+class FeatureFile(list):
+    """The expressions of a feature file, in order; ``lines[i]`` is the
+    1-based line that expression i was read from."""
+
+    def __init__(self, numbered: Iterable[tuple[int, FeatureExpr]]):
+        numbered = list(numbered)
+        super().__init__(e for _, e in numbered)
+        self.lines = [lineno for lineno, _ in numbered]
+
+
+def _numbered_feature_lines(lines: Iterable[str]) -> Iterator[tuple[int, FeatureExpr]]:
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -276,12 +291,19 @@ def iter_feature_lines(lines: Iterable[str]) -> Iterator[FeatureExpr]:
         except SyntaxError_ as err:
             err.args = (f"line {lineno}: {err}",)
             raise
-        yield e
+        yield lineno, e
 
 
-def load_feature_file(path) -> list[FeatureExpr]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(iter_feature_lines(fh))
+def iter_feature_lines(lines: Iterable[str]) -> Iterator[FeatureExpr]:
+    """Parse each expression line; a SyntaxError_ names its 1-based line,
+    and its offset counts from the start of the stripped line."""
+    return (e for _, e in _numbered_feature_lines(lines))
+
+
+def load_feature_file(path) -> FeatureFile:
+    """Parse a feature file, with or without a UTF-8 byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return FeatureFile(_numbered_feature_lines(fh))
 
 
 def dump_features(exprs: Iterable[FeatureExpr], out: TextIO) -> None:

@@ -18,6 +18,14 @@ class MetricsError(Exception):
     pass
 
 
+class DuplicateFeatureError(MetricsError):
+    """Member ``member`` of a new feature set repeats an earlier key."""
+
+    def __init__(self, key: str, member: int):
+        super().__init__(f"duplicate feature {key!r}")
+        self.member = member
+
+
 class FeatureSet:
     """Ordered feature expressions bound to a dataset; read-only.
 
@@ -39,12 +47,12 @@ class FeatureSet:
     def _append(self, new: Iterable[ex.FeatureExpr], skip_duplicates: bool):
         seen = set(self.keys)
         fresh: dict[str, ex.FeatureExpr] = {}  # key -> member, in order
-        for e in new:
+        for i, e in enumerate(new):
             key = ex.canonical_text(e)
             if key in seen or key in fresh:
                 if skip_duplicates:
                     continue  # first occurrence wins
-                raise MetricsError(f"duplicate feature {key!r}")
+                raise DuplicateFeatureError(key, i)
             fresh[key] = e
         self.members += tuple(fresh.values())
         self.keys += tuple(fresh)

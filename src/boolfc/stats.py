@@ -56,20 +56,30 @@ def contingency(x: np.ndarray, y: np.ndarray) -> ContingencyTable:
     return ContingencyTable(a, b, c, x.size - a - b - c)
 
 
+_COOCCURRENCE_BLOCK_BYTES = 1 << 18  # bytes of AND-ed words per popcount call
+
+
 def cooccurrence(x: np.ndarray) -> np.ndarray:
     """(m, m) int64 joint true-counts of the columns of an (n, m) Boolean
     matrix: entry (i, j) is the number of rows where columns i and j are
     both true, so the diagonal holds the column sums.
 
     A popcount over bit-packed columns: exact for any n, single threaded,
-    and no wider copy of the matrix is made."""
+    and no wider copy of the matrix is made.  Each popcount call counts a
+    block of rows of the upper triangle at once, as many as fit in a
+    fixed budget of AND-ed words, and the block is mirrored below the
+    diagonal: a small matrix takes one call, a large one about a row per
+    call."""
     m = x.shape[1]
     packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
     words = np.zeros((m, -(-len(packed) // 8)), dtype=np.uint64)  # whole words
     words.view(np.uint8)[:, : len(packed)] = packed.T  # zero-padded
     g = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        g[i, i:] = g[i:, i] = np.bitwise_count(words[i] & words[i:]).sum(axis=1)
+    step = max(1, _COOCCURRENCE_BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
+    for i in range(0, m, step):
+        j = i + step
+        g[i:j, i:] = np.bitwise_count(words[i:j, None] & words[None, i:]).sum(axis=2)
+        g[i:, i:j] = g[i:j, i:].T
     return g
 
 

@@ -202,6 +202,37 @@ def test_metrics_names_the_line_of_a_bad_feature(toy_csv, tmp_path, capsys):
     assert err == "error: line 4: unexpected character '@' (at offset 6)\n"
 
 
+@pytest.mark.parametrize("command", ["metrics", "transform"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("w & x\n# comment\nx & w\n", "line 3: duplicate feature 'w & x'"),
+        ("w\n\n!!y & z\ny & z\n", "line 4: duplicate feature 'y & z'"),
+        ("w & x\n\n  y & nope\nmissing\n", "line 3: unknown feature 'nope'"),
+    ],
+)
+def test_feature_file_member_errors_name_their_line(
+    command, text, message, toy_csv, tmp_path, capsys
+):
+    feats = tmp_path / "f.txt"
+    feats.write_text(text)
+    argv = [command, toy_csv, "--features", str(feats)]
+    if command == "transform":
+        argv += ["--out", str(tmp_path / "tf.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_metrics_reads_a_feature_file_with_bom(toy_csv, tmp_path, capsys):
+    plain, bom = tmp_path / "f.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"w & x\ny\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["metrics", toy_csv, "--features", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["metrics", toy_csv, "--features", str(bom)]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_transform_roundtrips_and_matches_extensions(toy_csv, tmp_path):
     feats = tmp_path / "f.txt"
     feats.write_text("w & x\n!w & x\ny\nz\n")

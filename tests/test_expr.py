@@ -22,6 +22,7 @@ from boolfc.expr import (
     evaluate_batch,
     iter_feature_lines,
     literal_count,
+    load_feature_file,
     parse,
     to_text,
 )
@@ -550,6 +551,26 @@ def test_feature_file_roundtrip():
 def test_feature_file_comments_and_blanks():
     text = "# header comment\n\na & b\n  \n!c\n"
     assert list(iter_feature_lines(text.splitlines())) == [parse("a & b"), parse("!c")]
+
+
+def test_feature_file_with_bom_loads_and_numbers_its_lines(tmp_path):
+    text = "# features\r\na & b\r\n\r\n!c\r\n"
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for path in (plain, bom):
+        exprs = load_feature_file(path)
+        assert exprs == [parse("a & b"), parse("!c")]
+        assert exprs.lines == [2, 4]
+    bom.write_bytes(b"\xef\xbb\xbfa & b\n")
+    assert load_feature_file(bom) == [parse("a & b")]
+
+
+def test_evaluate_batch_unknown_name_carries_its_member_index():
+    d = small_dataset([[1, 0, 1]])
+    with pytest.raises(UnknownFeatureError) as err:
+        evaluate_batch([parse("a"), parse("b & c"), parse("a & nope")], d)
+    assert err.value.member == 2
 
 
 def test_feature_file_error_names_its_line():

@@ -1,17 +1,20 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolfc import stats
 from boolfc.stats import (
     ContingencyTable,
     DegenerateTableError,
     StatsError,
     chi2_obs,
     contingency,
+    cooccurrence,
     expected_counts_ok,
     kendall_exact_pvalue,
     kendall_tau_test,
@@ -58,6 +61,59 @@ def test_contingency_matches_row_loop(xbits, ybits):
         else:
             d += 1
     assert (t.a, t.b, t.c, t.d) == (a, b, c, d)
+
+
+# -- co-occurrence kernel ----------------------------------------------------
+
+
+def _matmul_counts(x: np.ndarray) -> np.ndarray:
+    return x.T.astype(np.int64) @ x.astype(np.int64)
+
+
+def _block_height(x: np.ndarray) -> int:
+    """Rows of the upper triangle that one popcount call counts."""
+    words = x.shape[1] * 8 * -(-x.shape[0] // 64)  # bytes of packed columns
+    return max(1, stats._COOCCURRENCE_BLOCK_BYTES // max(1, words))
+
+
+@given(
+    st.integers(0, 200),
+    st.integers(1, 24),
+    st.sampled_from([0, 64, 200, 1000, stats._COOCCURRENCE_BLOCK_BYTES]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_cooccurrence_matches_matmul(n, m, budget, seed):
+    # small budgets split even tiny matrices into blocks of one, a few or
+    # a ragged last row count; n runs across byte and word boundaries
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, m)) < rng.random(m)  # per-column density, constants too
+    with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
+        g = cooccurrence(x)
+    assert g.dtype == np.int64 and g.shape == (m, m)
+    assert np.array_equal(g, _matmul_counts(x))
+
+
+@pytest.mark.parametrize("n, m", [(0, 0), (0, 1), (0, 7), (1, 1), (13, 1), (65, 1)])
+def test_cooccurrence_edge_shapes(n, m):
+    x = np.ones((n, m), dtype=bool)
+    g = cooccurrence(x)
+    assert g.dtype == np.int64 and g.shape == (m, m)
+    assert np.array_equal(g, np.full((m, m), n))
+
+
+def test_cooccurrence_block_height_not_dividing_m():
+    x = np.random.default_rng(1).random((5000, 61)) < 0.4
+    assert 1 < _block_height(x) < 61 and 61 % _block_height(x)
+    assert np.array_equal(cooccurrence(x), _matmul_counts(x))
+
+
+def test_cooccurrence_one_row_per_block():
+    x = np.random.default_rng(2).random((5000, 300)) < 0.3
+    assert _block_height(x) == 1
+    # float64 counts below 2**53 are exact and take the BLAS path
+    want = (x.T.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(cooccurrence(x), want)
 
 
 # -- pearson r ---------------------------------------------------------------
