@@ -245,7 +245,7 @@ def cmd_transform(args) -> int:
     fs = _load_feature_set(args.features, d)
     taken: set[str] = set()
     names = [mangle_name(key, taken) for key in fs.keys]
-    save_dataset(Dataset(names, fs.extensions), args.out)
+    save_dataset(Dataset.from_words(names, fs.words, d.n), args.out)
     return 0
 
 

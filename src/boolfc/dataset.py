@@ -19,6 +19,7 @@ from typing import TextIO, Union
 import numpy as np
 
 from .expr import IDENT_RE
+from .stats import pack_columns, unpack_columns
 
 
 class DatasetError(Exception):
@@ -40,8 +41,21 @@ def check_feature_names(names) -> None:
         seen.add(name)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` if it is read-only and owns its data, else a read-only copy:
+    the owner of a writeable array or of a view could still change it."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 class Dataset:
-    """Immutable Boolean dataset with column-oriented access."""
+    """Immutable Boolean dataset with column-oriented access.
+
+    The n rows are kept as an (n, k) bool matrix, as the k columns packed
+    into 64-bit words (``stats.pack_columns``), or both: either form is
+    derived from the other on first use and kept."""
 
     def __init__(self, feature_names, matrix: np.ndarray):
         names = [str(s).strip() for s in feature_names]
@@ -49,39 +63,66 @@ class Dataset:
         matrix = np.asarray(matrix, dtype=bool)
         if matrix.ndim != 2 or matrix.shape[1] != len(names):
             raise DatasetError("matrix shape does not match feature names")
-        if matrix.shape[0] < 1:
+        self._bind(names, matrix.shape[0], _frozen(matrix), None)
+
+    @classmethod
+    def from_words(cls, feature_names, words: np.ndarray, n: int) -> "Dataset":
+        """The dataset of n rows whose columns are the rows of ``words``,
+        laid out as ``stats.pack_columns`` makes them; its bool matrix is
+        only unpacked if read."""
+        names = [str(s).strip() for s in feature_names]
+        check_feature_names(names)
+        words = np.asarray(words, dtype=np.uint64)
+        if words.shape != (len(names), -(-n // 64)):
+            raise DatasetError("word array shape does not match feature names")
+        d = cls.__new__(cls)
+        d._bind(names, n, None, _frozen(words))
+        return d
+
+    def _bind(self, names, n, matrix, words) -> None:
+        if n < 1:
             raise DatasetError("a dataset needs at least 1 row")
-        # share a read-only array that owns its data; copy a writeable
-        # array or a view, which its owner could still change
-        if matrix.flags.writeable or not matrix.flags.owndata:
-            matrix = matrix.copy()
-            matrix.setflags(write=False)
         self.feature_names = tuple(names)
         self.name_index = {name: i for i, name in enumerate(names)}
+        self._n = n
         self._matrix = matrix
+        self._words = words
         self._unique_rows: int | None = None  # memo of unique_count
 
     @property
     def n(self) -> int:
-        return self._matrix.shape[0]
+        return self._n
 
     @property
     def k(self) -> int:
-        return self._matrix.shape[1]
+        return len(self.feature_names)
 
     @property
     def matrix(self) -> np.ndarray:
         """Read-only (n, k) bool view."""
+        if self._matrix is None:
+            matrix = unpack_columns(self._words, self._n)
+            matrix.setflags(write=False)
+            self._matrix = matrix
         return self._matrix
 
+    @property
+    def words(self) -> np.ndarray:
+        """Read-only (k, ceil(n / 64)) uint64 words of the columns."""
+        if self._words is None:
+            words = pack_columns(self._matrix)
+            words.setflags(write=False)
+            self._words = words
+        return self._words
+
     def column(self, name: str) -> np.ndarray:
-        return self._matrix[:, self.name_index[name]]
+        return self.matrix[:, self.name_index[name]]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Dataset)
             and self.feature_names == other.feature_names
-            and np.array_equal(self._matrix, other._matrix)
+            and np.array_equal(self.matrix, other.matrix)
         )
 
     def __repr__(self) -> str:
@@ -185,16 +226,21 @@ def _load_strict(stream: TextIO) -> Dataset:
 
 def dump_dataset(d: Dataset, out: TextIO) -> None:
     """Write the header, then the rows in blocks of about
-    ``_DUMP_BLOCK_BYTES``, each block rendered as one byte buffer."""
+    ``_DUMP_BLOCK_BYTES``, each block unpacked from the dataset's words
+    and rendered as one byte buffer.  A block is a multiple of 8 rows, so
+    it starts on a byte of every packed column."""
     out.write(",".join(d.feature_names) + "\n")
-    n, k = d.matrix.shape
-    rows = max(1, _DUMP_BLOCK_BYTES // (2 * k))
+    n, k = d.n, d.k
+    rows = max(8, _DUMP_BLOCK_BYTES // (2 * k) // 8 * 8)
     buf = np.full((min(rows, n), 2 * k), ord(","), dtype=np.uint8)
     buf[:, -1] = ord("\n")
+    packed = d.words.view(np.uint8)  # (k, bytes): row t is in byte t // 8
     for top in range(0, n, rows):
-        block = d.matrix[top:top + rows].view(np.uint8)
-        np.add(block, ord("0"), out=buf[:len(block), 0::2])
-        out.write(buf[:len(block)].tobytes().decode("ascii"))
+        count = min(rows, n - top)
+        block = packed[:, top // 8:(top + count + 7) // 8]
+        bits = np.unpackbits(block, axis=1, count=count)  # (k, count)
+        np.add(bits.T, ord("0"), out=buf[:count, 0::2])
+        out.write(buf[:count].tobytes().decode("ascii"))
 
 
 def save_dataset(d: Dataset, path) -> None:
@@ -203,9 +249,16 @@ def save_dataset(d: Dataset, path) -> None:
 
 
 def unique_count(d: Dataset) -> int:
-    """Number of distinct full rows, computed once per (immutable) dataset."""
+    """Number of distinct full rows, computed once per (immutable) dataset.
+
+    Each row is packed into whole 64-bit words, so rows compare as one
+    integer each when k <= 64."""
     if d._unique_rows is None:
-        d._unique_rows = len(np.unique(d.matrix, axis=0))
+        rows = pack_columns(d.matrix.T)  # (n, ceil(k / 64))
+        if rows.shape[1] == 1:
+            d._unique_rows = len(np.unique(rows[:, 0]))
+        else:
+            d._unique_rows = len(np.unique(rows, axis=0))
     return d._unique_rows
 
 
@@ -215,7 +268,7 @@ def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:
         raise ValueError(f"noise fraction must be in [0, 1], got {pct}")
     total = d.n * d.k
     flips = int(round(pct * total))
-    matrix = np.array(d.matrix)
+    matrix = np.array(d.matrix, order="C")  # cells are flipped in row order
     if flips:
         rng = np.random.default_rng(seed)
         cells = rng.choice(total, size=flips, replace=False)

@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
+from .stats import pack_columns, unpack_columns
+
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _LITERAL_RE = re.compile("!?" + IDENT_RE.pattern)
 
@@ -204,50 +206,51 @@ def canonical_text(e: FeatureExpr) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_UNPACK_BLOCK_BYTES = 1 << 20  # bytes of unpacked members per block
+def evaluate_words(
+    exprs: Sequence[FeatureExpr], dataset, known: Iterable[tuple[str, np.ndarray]] = ()
+) -> np.ndarray:
+    """(m, W) uint64 truth words of ``exprs`` over every individual, laid
+    out as ``stats.pack_columns`` makes them, padding bits zero.
 
-
-def evaluate_batch(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
-    """(n, m) bool truth matrix of ``exprs`` over every individual.
-
-    Each distinct canonical subexpression is computed once per batch, as
-    AND / NOT over bit-packed columns; the members' columns are then
-    unpacked a block at a time.  Members are walked in order, left
-    operand first, so the first unknown name is the one a member by
-    member, left to right evaluation meets first.
+    Each distinct canonical subexpression is computed once, as AND / NOT
+    over the words of its operands; NOT is an XOR with the all-true
+    column's words, so the padding bits stay zero.  ``known`` seeds the
+    memo with (canonical text, words) pairs: an expression over them reads
+    no primitive column.  Members are walked in order, left operand first,
+    so the first unknown name is the one a member by member, left to
+    right evaluation meets first.
     """
-    n = dataset.n
-    packed: dict[str, np.ndarray] = {}  # canonical text -> packbits column
+    memo = dict(known)  # canonical text -> words
+    ones = pack_columns(np.ones((dataset.n, 1), dtype=bool))[0]
 
-    def pack(e: FeatureExpr) -> np.ndarray:
+    def words(e: FeatureExpr) -> np.ndarray:
         key = e.canonical.text
-        col = packed.get(key)
+        col = memo.get(key)
         if col is None:
             if isinstance(e, Prim):
                 if e.name not in dataset.name_index:
                     raise UnknownFeatureError(f"unknown feature {e.name!r}")
-                col = np.packbits(dataset.column(e.name))
+                col = dataset.words[dataset.name_index[e.name]]
             elif isinstance(e, Not):
-                col = ~pack(e.child)  # padding bits turn to 1: never unpacked
+                col = words(e.child) ^ ones
             else:
-                col = pack(e.left) & pack(e.right)
-            packed[key] = col
+                col = words(e.left) & words(e.right)
+            memo[key] = col
         return col
 
-    cols = np.empty((len(exprs), -(-n // 8)), dtype=np.uint8)
+    out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
     for j, e in enumerate(exprs):
         try:
-            cols[j] = pack(e)
+            out[j] = words(e)
         except UnknownFeatureError as err:
             err.member = j
             raise
-    packed.clear()  # free the subexpressions before the output is written
-    out = np.empty((n, len(exprs)), dtype=bool)
-    step = max(1, _UNPACK_BLOCK_BYTES // n)
-    for j in range(0, len(exprs), step):
-        block = np.unpackbits(cols[j:j + step], axis=1, count=n)
-        out[:, j:j + step] = block.view(bool).T
     return out
+
+
+def evaluate_batch(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
+    """(n, m) bool truth matrix of ``exprs``: ``evaluate_words`` unpacked."""
+    return unpack_columns(evaluate_words(exprs, dataset), dataset.n)
 
 
 def evaluate(e: FeatureExpr, dataset) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
+from .stats import unpack_columns
 
 
 class MetricsError(Exception):
@@ -30,10 +31,12 @@ class FeatureSet:
     """Ordered feature expressions bound to a dataset; read-only.
 
     A member's identity is its canonical text (``keys``).  Its key,
-    extension column and literal count are derived once, when it enters
-    the set: the constructor rejects duplicate keys, ``extend`` skips
-    them, and ``extend`` and ``select`` reuse what they keep.  The
-    dataset's own columns are the primitive set.
+    extension and literal count are derived once, when it enters the set:
+    the constructor rejects duplicate keys, ``extend`` skips them, and
+    ``extend`` and ``select`` reuse what they keep.  Extensions are kept
+    as ``words``, an (m, W) uint64 array with one row of bit-packed words
+    per member (``stats.pack_columns``); ``extensions`` unpacks them.
+    The dataset's own columns are the primitive set.
     """
 
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
@@ -41,7 +44,7 @@ class FeatureSet:
             raise MetricsError("a feature set needs at least one member")
         self.dataset = dataset
         self.members, self.keys, self.literal_counts = (), (), ()
-        self.extensions = np.empty((dataset.n, 0), dtype=bool)  # (n, m)
+        self.words = np.empty((0, -(-dataset.n // 64)), dtype=np.uint64)
         self._append(members, skip_duplicates=False)
 
     def _append(self, new: Iterable[ex.FeatureExpr], skip_duplicates: bool):
@@ -54,14 +57,19 @@ class FeatureSet:
                     continue  # first occurrence wins
                 raise DuplicateFeatureError(key, i)
             fresh[key] = e
+        # a child of two members is one word operation on theirs
+        words = ex.evaluate_words(
+            tuple(fresh.values()), self.dataset, zip(self.keys, self.words)
+        )
         self.members += tuple(fresh.values())
         self.keys += tuple(fresh)
         self.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        cols = ex.evaluate_batch(tuple(fresh.values()), self.dataset)
-        if self.extensions.shape[1]:
-            cols = np.hstack([self.extensions, cols])
-        self.extensions = cols
-        self.extensions.setflags(write=False)
+        self._set_words(np.concatenate([self.words, words]))
+
+    def _set_words(self, words: np.ndarray) -> None:
+        words.setflags(write=False)
+        self.words = words
+        self._extensions = None  # unpacked from the new words on first read
 
     def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":
         """A new set with the members of ``new`` whose key is not yet
@@ -79,9 +87,18 @@ class FeatureSet:
         out.members = tuple(self.members[i] for i in keep)
         out.keys = tuple(self.keys[i] for i in keep)
         out.literal_counts = tuple(self.literal_counts[i] for i in keep)
-        out.extensions = self.extensions[:, keep]
-        out.extensions.setflags(write=False)
+        out._set_words(self.words[keep])
         return out
+
+    @property
+    def extensions(self) -> np.ndarray:
+        """Read-only (n, m) bool truth matrix, unpacked from ``words`` on
+        first read and kept."""
+        if self._extensions is None:
+            extensions = unpack_columns(self.words, self.dataset.n)
+            extensions.setflags(write=False)
+            self._extensions = extensions
+        return self._extensions
 
     @classmethod
     def from_primitives(cls, dataset: Dataset) -> "FeatureSet":
@@ -92,7 +109,8 @@ class FeatureSet:
         return len(self.members)
 
     def supports(self) -> np.ndarray:
-        return np.count_nonzero(self.extensions, axis=0)
+        """Number of rows where each member holds: a popcount per row of words."""
+        return np.bitwise_count(self.words).sum(axis=1, dtype=np.int64)
 
     def key_set(self) -> frozenset:
         return frozenset(self.keys)
@@ -115,7 +133,8 @@ def overlapping_index_detail(fs: FeatureSet) -> tuple[float, bool]:
     """OI plus whether the virtual null feature was added."""
     n = fs.dataset.n
     sum_p = float(fs.supports().sum()) / n
-    uncovered = n - int(np.count_nonzero(fs.extensions.any(axis=1)))
+    covered = np.bitwise_count(np.bitwise_or.reduce(fs.words, axis=0)).sum()
+    uncovered = n - int(covered)
     m = fs.m
     null_added = uncovered > 0
     if null_added:

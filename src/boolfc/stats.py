@@ -56,24 +56,37 @@ def contingency(x: np.ndarray, y: np.ndarray) -> ContingencyTable:
     return ContingencyTable(a, b, c, x.size - a - b - c)
 
 
+def pack_columns(x: np.ndarray) -> np.ndarray:
+    """(m, W) uint64 words of the columns of an (n, m) Boolean matrix,
+    W = ceil(n / 64): row j holds column j as ``np.packbits`` bytes,
+    zero-padded to whole words, so every bit past row n is zero."""
+    packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
+    words = np.zeros((x.shape[1], -(-len(packed) // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : len(packed)] = packed.T
+    return words
+
+
+def unpack_columns(words: np.ndarray, n: int) -> np.ndarray:
+    """(n, m) bool matrix of the m columns in ``words``, the inverse of
+    ``pack_columns``; a transposed view of one (m, n) array."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n).view(bool).T
+
+
 _COOCCURRENCE_BLOCK_BYTES = 1 << 18  # bytes of AND-ed words per popcount call
 
 
-def cooccurrence(x: np.ndarray) -> np.ndarray:
-    """(m, m) int64 joint true-counts of the columns of an (n, m) Boolean
-    matrix: entry (i, j) is the number of rows where columns i and j are
-    both true, so the diagonal holds the column sums.
+def cooccurrence(words: np.ndarray) -> np.ndarray:
+    """(m, m) int64 joint true-counts of m bit-packed columns, an (m, W)
+    uint64 array laid out as ``pack_columns`` makes it, padding bits zero:
+    entry (i, j) is the number of rows where columns i and j are both
+    true, so the diagonal holds the column sums.
 
-    A popcount over bit-packed columns: exact for any n, single threaded,
-    and no wider copy of the matrix is made.  Each popcount call counts a
-    block of rows of the upper triangle at once, as many as fit in a
-    fixed budget of AND-ed words, and the block is mirrored below the
-    diagonal: a small matrix takes one call, a large one about a row per
-    call."""
-    m = x.shape[1]
-    packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
-    words = np.zeros((m, -(-len(packed) // 8)), dtype=np.uint64)  # whole words
-    words.view(np.uint8)[:, : len(packed)] = packed.T  # zero-padded
+    A popcount over the words: exact for any n and single threaded.  Each
+    popcount call counts a block of rows of the upper triangle at once, as
+    many as fit in a fixed budget of AND-ed words, and the block is
+    mirrored below the diagonal: a small matrix takes one call, a large
+    one about a row per call."""
+    m = len(words)
     g = np.empty((m, m), dtype=np.int64)
     step = max(1, _COOCCURRENCE_BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
     for i in range(0, m, step):

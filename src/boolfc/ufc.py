@@ -102,15 +102,17 @@ class RunResult:
         }
 
 
-def pair_tables(fs: FeatureSet) -> np.ndarray:
-    """(m, m, 4) array of contingency counts a, b, c, d for all pairs;
-    a is the exact ``cooccurrence`` of the extension matrix."""
-    a = cooccurrence(fs.extensions)
-    s = np.diagonal(a)
-    b = s[:, None] - a
-    c = s[None, :] - a
-    d = fs.dataset.n - a - b - c
-    return np.stack([a, b, c, d], axis=-1)
+def pair_tables(fs: FeatureSet) -> tuple[np.ndarray, ...]:
+    """Contingency counts a, b, c, d of every pair i < j, four 1-D int64
+    arrays in ``np.triu_indices(fs.m, 1)`` order; a is the exact
+    ``cooccurrence`` of the members' words."""
+    g = cooccurrence(fs.words)
+    i, j = np.triu_indices(fs.m, k=1)
+    s = np.diagonal(g)
+    a = g[i, j]
+    b = s[i] - a
+    c = s[j] - a
+    return a, b, c, fs.dataset.n - a - b - c
 
 
 def search_correlated_pairs(
@@ -119,9 +121,8 @@ def search_correlated_pairs(
     """All index pairs i < j with defined r strictly above the threshold,
     sorted by r descending then (i, j) ascending.  With pruning on, pairs
     failing the expected-frequency rule are excluded."""
-    tables = pair_tables(fs)
+    a, b, c, d = pair_tables(fs)
     i, j = np.triu_indices(fs.m, k=1)
-    a, b, c, d = tables[i, j].T
     r = phi_coefficients(a, b, c, d)
     keep = r > threshold  # NaN (constant feature) is never a candidate
     if pruning:

@@ -12,7 +12,7 @@ import numpy as np
 from . import expr as ex
 from .dataset import Dataset
 from .metrics import FeatureSet
-from .stats import cooccurrence
+from .stats import cooccurrence, pack_columns
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def build_clustering_tree(
         node = TreeNode(rows=rows, variance=var)
         if depth >= cfg.max_depth or var <= 0.0:
             return node
-        g = cooccurrence(matrix[rows])
+        g = cooccurrence(pack_columns(matrix[rows]))
         n_true = np.diagonal(g)
         n_false = rows.size - n_true
         (ok,) = np.nonzero((n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf))

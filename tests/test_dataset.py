@@ -14,6 +14,7 @@ from boolfc.dataset import (
     load_dataset,
     unique_count,
 )
+from boolfc.stats import pack_columns
 
 
 def load(text: str) -> Dataset:
@@ -138,6 +139,24 @@ def test_unique_count_examples():
     assert unique_count(d_same) == 1
     d_diff = load("a,b\n0,0\n0,1\n1,0\n1,1\n")
     assert unique_count(d_diff) == 4
+
+
+@pytest.mark.parametrize("k", [2, 8, 9, 63, 64, 65, 130])
+@given(st.integers(1, 60), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_unique_count_equals_unique_rows(k, n, distinct, one_bit_apart, seed):
+    # rows drawn from a few patterns, so most rows repeat; patterns one bit
+    # apart differ in a single column, in any byte or word of a packed row
+    rng = np.random.default_rng(seed)
+    if one_bit_apart:
+        pool = np.repeat(rng.random((1, k)) < 0.5, distinct, axis=0)
+        pool[np.arange(distinct), rng.integers(0, k, distinct)] ^= True
+    else:
+        pool = rng.random((distinct, k)) < 0.5
+    matrix = pool[rng.integers(0, distinct, n)]
+    names = [f"f{j}" for j in range(k)]
+    assert unique_count(Dataset(names, matrix)) == len(np.unique(matrix, axis=0))
+    assert unique_count(Dataset(names, matrix[:1])) == 1
 
 
 def test_unique_count_row_permutation_invariant():
@@ -335,3 +354,22 @@ def test_dump_equals_per_row_writer(n, order):
     dump_dataset(d, got)
     per_row_dump(d, want)
     assert got.getvalue() == want.getvalue()
+
+
+DUMP_ROWS = BLOCK_ROWS // 8 * 8  # rows per block: whole bytes of each column
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, DUMP_ROWS + 1, DUMP_ROWS + 9])
+def test_dataset_from_words_dumps_and_reads_as_its_matrix(n):
+    matrix = np.random.default_rng(n).random((n, WIDE)) < 0.5
+    names = [f"f{j}" for j in range(WIDE)]
+    d = Dataset.from_words(names, pack_columns(matrix), n)
+    assert (d.n, d.k) == (n, WIDE)
+    got, want = io.StringIO(), io.StringIO()
+    dump_dataset(d, got)
+    per_row_dump(Dataset(names, matrix), want)
+    assert got.getvalue() == want.getvalue()
+    assert np.array_equal(d.matrix, matrix) and not d.matrix.flags.writeable
+    assert d == Dataset(names, matrix)
+    with pytest.raises(DatasetError, match="word array shape"):
+        Dataset.from_words(names, pack_columns(matrix), n + 64)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from boolfc import expr as ex
 from boolfc.dataset import Dataset, unique_count
-from boolfc.metrics import FeatureSet, MetricsError, report
-from boolfc.stats import lambda_from_risk
+from boolfc.metrics import FeatureSet, MetricsError, overlapping_index_detail, report
+from boolfc.stats import cooccurrence, lambda_from_risk
 from boolfc.ufc import (
     FixedMode,
     RiskMode,
@@ -65,14 +65,14 @@ def assert_same_set(got: FeatureSet, want: FeatureSet):
 
 
 class BatchCalls:
-    """Records the members of each batch given to ``expr.evaluate_batch``."""
+    """Records the members of each batch given to ``expr.evaluate_words``."""
 
     def __init__(self, fn):
         self.fn, self.batches = fn, []
 
-    def __call__(self, exprs, dataset):
+    def __call__(self, exprs, dataset, *known):
         self.batches.append(list(exprs))
-        return self.fn(exprs, dataset)
+        return self.fn(exprs, dataset, *known)
 
 
 class TopLevelCalls:
@@ -99,9 +99,9 @@ def test_extend_equals_fresh_set_and_derives_only_new_members(a, b):
     before = (fs.members, fs.keys, fs.literal_counts, fs.extensions.copy())
     new_in_b = first_occurrences(b, fs.keys)
 
-    evaluate = BatchCalls(ex.evaluate_batch)
+    evaluate = BatchCalls(ex.evaluate_words)
     literal_count = TopLevelCalls(ex.literal_count)
-    with mock.patch.object(ex, "evaluate_batch", evaluate), \
+    with mock.patch.object(ex, "evaluate_words", evaluate), \
             mock.patch.object(ex, "literal_count", literal_count):
         grown = fs.extend(b)
     assert evaluate.batches == [new_in_b]
@@ -123,11 +123,28 @@ def test_select_equals_fresh_set_of_masked_members(members, data):
         with pytest.raises(MetricsError):
             fs.select(np.array(mask))
         return
-    evaluate = BatchCalls(ex.evaluate_batch)
-    with mock.patch.object(ex, "evaluate_batch", evaluate):
+    evaluate = BatchCalls(ex.evaluate_words)
+    with mock.patch.object(ex, "evaluate_words", evaluate):
         got = fs.select(np.array(mask))
     assert evaluate.batches == []
     assert_same_set(got, FeatureSet(kept, D))
+
+
+def test_children_of_members_read_no_primitive_column():
+    # no member is a primitive, so a child that recursed down to its
+    # primitives would have to read the dataset's words
+    texts = ("a & b", "!a & c", "b & !d", "!(a & c) & d")
+    fs = FeatureSet([ex.parse(t) for t in texts], D)
+    children = []
+    for i in range(fs.m):
+        for j in range(i + 1, fs.m):
+            children += construct_new_features(fs.members[i], fs.members[j])
+    with mock.patch.object(Dataset, "words", new_callable=mock.PropertyMock) as words:
+        grown = fs.extend(children)
+    assert words.call_count == 0
+    assert grown.m > fs.m
+    want = FeatureSet(list(fs.members) + first_occurrences(children, fs.keys), D)
+    assert_same_set(grown, want)
 
 
 def test_constructor_still_rejects_what_extend_skips():
@@ -292,3 +309,41 @@ def test_ufringe_run_matches_rebuild_loop(name, max_features):
     assert got.members == want.members
     assert np.array_equal(got.extensions, want.extensions)
     assert report(got) == report(want)
+
+
+# -- padding bits: n around byte and word boundaries ---------------------------
+
+
+def bool_oracle(e, d):
+    """Member by member evaluation over plain bool columns."""
+    if isinstance(e, ex.Prim):
+        return d.column(e.name)
+    if isinstance(e, ex.Not):
+        return ~bool_oracle(e.child, d)
+    return bool_oracle(e.left, d) & bool_oracle(e.right, d)
+
+
+def padding_bits(fs):
+    """The bits of ``fs.words`` past row n, one row per member."""
+    return np.unpackbits(fs.words.view(np.uint8), axis=1)[:, fs.dataset.n:]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_store_matches_bool_oracle_and_keeps_padding_zero(n):
+    d = Dataset(NAMES, np.random.default_rng(n).random((n, len(NAMES))) < 0.5)
+    fs = FeatureSet([ex.parse(t) for t in ("a & b", "!c", "!(a & d)")], d)
+    # a member's negation, and the negation of a negated member
+    grown = fs.extend([ex.Not(e) for e in fs.members] + [ex.parse("b")])
+    kept = grown.select(np.arange(grown.m) % 2 == 0)
+    for got in (fs, grown, kept):
+        want = np.column_stack([bool_oracle(e, d) for e in got.members])
+        assert not padding_bits(got).any()
+        assert np.array_equal(got.extensions, want)
+        assert np.array_equal(got.supports(), np.count_nonzero(want, axis=0))
+        assert np.array_equal(np.diagonal(cooccurrence(got.words)), got.supports())
+        covered = np.count_nonzero(want.any(axis=1))
+        oi, null_added = overlapping_index_detail(got)
+        assert null_added == (covered < n)
+        if got.m + null_added > 1:
+            sum_p = float(np.count_nonzero(want)) / n + (n - covered) / n
+            assert oi == (sum_p - 1.0) / (got.m + null_added - 1)

@@ -20,6 +20,7 @@ from boolfc.stats import (
     kendall_tau_test,
     lambda_from_risk,
     normal_quantile,
+    pack_columns,
     pearson_r,
     phi_coefficients,
 )
@@ -89,7 +90,7 @@ def test_cooccurrence_matches_matmul(n, m, budget, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((n, m)) < rng.random(m)  # per-column density, constants too
     with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
-        g = cooccurrence(x)
+        g = cooccurrence(pack_columns(x))
     assert g.dtype == np.int64 and g.shape == (m, m)
     assert np.array_equal(g, _matmul_counts(x))
 
@@ -97,7 +98,7 @@ def test_cooccurrence_matches_matmul(n, m, budget, seed):
 @pytest.mark.parametrize("n, m", [(0, 0), (0, 1), (0, 7), (1, 1), (13, 1), (65, 1)])
 def test_cooccurrence_edge_shapes(n, m):
     x = np.ones((n, m), dtype=bool)
-    g = cooccurrence(x)
+    g = cooccurrence(pack_columns(x))
     assert g.dtype == np.int64 and g.shape == (m, m)
     assert np.array_equal(g, np.full((m, m), n))
 
@@ -105,7 +106,7 @@ def test_cooccurrence_edge_shapes(n, m):
 def test_cooccurrence_block_height_not_dividing_m():
     x = np.random.default_rng(1).random((5000, 61)) < 0.4
     assert 1 < _block_height(x) < 61 and 61 % _block_height(x)
-    assert np.array_equal(cooccurrence(x), _matmul_counts(x))
+    assert np.array_equal(cooccurrence(pack_columns(x)), _matmul_counts(x))
 
 
 def test_cooccurrence_one_row_per_block():
@@ -113,7 +114,7 @@ def test_cooccurrence_one_row_per_block():
     assert _block_height(x) == 1
     # float64 counts below 2**53 are exact and take the BLAS path
     want = (x.T.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
-    assert np.array_equal(cooccurrence(x), want)
+    assert np.array_equal(cooccurrence(pack_columns(x)), want)
 
 
 # -- pearson r ---------------------------------------------------------------

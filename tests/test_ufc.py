@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from boolfc.dataset import Dataset
 from boolfc.expr import Not, Prim, canonical_text, evaluate, parse, to_text
 from boolfc.metrics import FeatureSet, report
-from boolfc.stats import contingency, cooccurrence
+from boolfc.stats import contingency, cooccurrence, pack_columns
 from boolfc.ufc import (
     CandidatePair,
     FixedMode,
@@ -153,17 +153,18 @@ def test_pair_tables_match_contingency(n):
     members += [parse("r0 & r1"), parse("!r2 & r3")]
     fs = FeatureSet(members, d)
     tables = pair_tables(fs)
-    assert tables.shape == (fs.m, fs.m, 4)
-    for i in range(fs.m):
-        for j in range(fs.m):
-            t = contingency(fs.extensions[:, i], fs.extensions[:, j])
-            assert tuple(tables[i, j]) == (t.a, t.b, t.c, t.d), (n, i, j)
+    pairs = list(zip(*np.triu_indices(fs.m, k=1)))
+    assert len(tables) == 4
+    assert all(v.shape == (len(pairs),) and v.dtype == np.int64 for v in tables)
+    for (i, j), got in zip(pairs, zip(*tables)):
+        t = contingency(fs.extensions[:, i], fs.extensions[:, j])
+        assert got == (t.a, t.b, t.c, t.d), (n, i, j)
     # the same kernel on n rows taken out of a larger set, as uFRINGE
     # counts the rows of a tree node
     ext = FeatureSet(members, oracle_dataset(2000, seed=n)).extensions
     rows = np.sort(np.random.default_rng(n).choice(2000, size=n, replace=False))
     sub = ext[rows]
-    g = cooccurrence(sub)
+    g = cooccurrence(pack_columns(sub))
     assert g.shape == (fs.m, fs.m) and g.dtype == np.int64
     for i in range(fs.m):
         for j in range(fs.m):
