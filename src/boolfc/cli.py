@@ -174,6 +174,9 @@ def cmd_construct(args, parser) -> int:
         run_dict = result.to_json_dict()
         final = result.final_report()
     else:
+        ufc_flags = (args.threshold, args.max_iter, args.risk, args.prune)
+        if any(v is not None for v in ufc_flags):
+            parser.error("--lambda, --max-iter, --risk and --prune apply only to uFC")
         d = load_dataset(args.dataset)
         cfg = UfringeConfig(
             max_features=args.max_features,

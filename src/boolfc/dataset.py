@@ -41,51 +41,43 @@ def check_feature_names(names) -> None:
         seen.add(name)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` if it is read-only and owns its data, else a read-only copy:
-    the owner of a writeable array or of a view could still change it."""
-    if a.flags.writeable or not a.flags.owndata:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
 class Dataset:
     """Immutable Boolean dataset with column-oriented access.
 
-    The n rows are kept as an (n, k) bool matrix, as the k columns packed
-    into 64-bit words (``stats.pack_columns``), or both: either form is
-    derived from the other on first use and kept."""
+    The k columns are kept only as a read-only (k, ceil(n / 64)) uint64
+    array, ``words``, laid out as ``stats.pack_columns`` makes it, with
+    every bit past row n zero; ``matrix`` unpacks it on each read."""
 
     def __init__(self, feature_names, matrix: np.ndarray):
-        names = [str(s).strip() for s in feature_names]
-        check_feature_names(names)
         matrix = np.asarray(matrix, dtype=bool)
-        if matrix.ndim != 2 or matrix.shape[1] != len(names):
+        if matrix.ndim != 2 or matrix.shape[1] != len(feature_names):
             raise DatasetError("matrix shape does not match feature names")
-        self._bind(names, matrix.shape[0], _frozen(matrix), None)
+        self._bind(feature_names, matrix.shape[0], pack_columns(matrix))
 
     @classmethod
     def from_words(cls, feature_names, words: np.ndarray, n: int) -> "Dataset":
         """The dataset of n rows whose columns are the rows of ``words``,
-        laid out as ``stats.pack_columns`` makes them; its bool matrix is
-        only unpacked if read."""
-        names = [str(s).strip() for s in feature_names]
-        check_feature_names(names)
+        laid out as ``stats.pack_columns`` makes them.  ``words`` is kept
+        as is if it is read-only and owns its data, else copied: the owner
+        of a writeable array or of a view could still change it."""
         words = np.asarray(words, dtype=np.uint64)
-        if words.shape != (len(names), -(-n // 64)):
+        if words.shape != (len(feature_names), -(-n // 64)):
             raise DatasetError("word array shape does not match feature names")
+        if words.flags.writeable or not words.flags.owndata:
+            words = words.copy()
         d = cls.__new__(cls)
-        d._bind(names, n, None, _frozen(words))
+        d._bind(feature_names, n, words)
         return d
 
-    def _bind(self, names, n, matrix, words) -> None:
+    def _bind(self, feature_names, n, words) -> None:
+        names = [str(s).strip() for s in feature_names]
+        check_feature_names(names)
         if n < 1:
             raise DatasetError("a dataset needs at least 1 row")
+        words.setflags(write=False)
         self.feature_names = tuple(names)
         self.name_index = {name: i for i, name in enumerate(names)}
         self._n = n
-        self._matrix = matrix
         self._words = words
         self._unique_rows: int | None = None  # memo of unique_count
 
@@ -99,20 +91,14 @@ class Dataset:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Read-only (n, k) bool view."""
-        if self._matrix is None:
-            matrix = unpack_columns(self._words, self._n)
-            matrix.setflags(write=False)
-            self._matrix = matrix
-        return self._matrix
+        """Read-only (n, k) bool matrix, unpacked from ``words`` on each read."""
+        matrix = unpack_columns(self._words, self._n)
+        matrix.setflags(write=False)
+        return matrix
 
     @property
     def words(self) -> np.ndarray:
         """Read-only (k, ceil(n / 64)) uint64 words of the columns."""
-        if self._words is None:
-            words = pack_columns(self._matrix)
-            words.setflags(write=False)
-            self._words = words
         return self._words
 
     def column(self, name: str) -> np.ndarray:
@@ -122,7 +108,8 @@ class Dataset:
         return (
             isinstance(other, Dataset)
             and self.feature_names == other.feature_names
-            and np.array_equal(self.matrix, other.matrix)
+            and self.n == other.n
+            and np.array_equal(self.words, other.words)
         )
 
     def __repr__(self) -> str:
@@ -184,9 +171,7 @@ def _load_regular(raw: bytes) -> Dataset | None:
     rows = body.reshape(-1, want.size)
     if not ((rows & mask) == want).all():
         return None
-    matrix = rows[:, 0:2 * k:2] == ord("1")
-    matrix.setflags(write=False)
-    return Dataset(names, matrix)
+    return Dataset(names, rows[:, 0:2 * k:2] == ord("1"))
 
 
 def _load_strict(stream: TextIO) -> Dataset:
@@ -274,5 +259,4 @@ def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:
         cells = rng.choice(total, size=flips, replace=False)
         flat = matrix.reshape(-1)
         flat[cells] = ~flat[cells]
-    matrix.setflags(write=False)
     return Dataset(d.feature_names, matrix)

@@ -35,7 +35,8 @@ class FeatureSet:
     the constructor rejects duplicate keys, ``extend`` skips them, and
     ``extend`` and ``select`` reuse what they keep.  Extensions are kept
     as ``words``, an (m, W) uint64 array with one row of bit-packed words
-    per member (``stats.pack_columns``); ``extensions`` unpacks them.
+    per member (``stats.pack_columns``), and nothing else: ``extensions``
+    unpacks them on each read.
     The dataset's own columns are the primitive set.
     """
 
@@ -44,7 +45,7 @@ class FeatureSet:
             raise MetricsError("a feature set needs at least one member")
         self.dataset = dataset
         self.members, self.keys, self.literal_counts = (), (), ()
-        self.words = np.empty((0, -(-dataset.n // 64)), dtype=np.uint64)
+        self.words = dataset.words[:0]
         self._append(members, skip_duplicates=False)
 
     def _append(self, new: Iterable[ex.FeatureExpr], skip_duplicates: bool):
@@ -64,12 +65,8 @@ class FeatureSet:
         self.members += tuple(fresh.values())
         self.keys += tuple(fresh)
         self.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        self._set_words(np.concatenate([self.words, words]))
-
-    def _set_words(self, words: np.ndarray) -> None:
-        words.setflags(write=False)
-        self.words = words
-        self._extensions = None  # unpacked from the new words on first read
+        self.words = np.concatenate([self.words, words])
+        self.words.setflags(write=False)
 
     def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":
         """A new set with the members of ``new`` whose key is not yet
@@ -87,18 +84,17 @@ class FeatureSet:
         out.members = tuple(self.members[i] for i in keep)
         out.keys = tuple(self.keys[i] for i in keep)
         out.literal_counts = tuple(self.literal_counts[i] for i in keep)
-        out._set_words(self.words[keep])
+        out.words = self.words[keep]
+        out.words.setflags(write=False)
         return out
 
     @property
     def extensions(self) -> np.ndarray:
         """Read-only (n, m) bool truth matrix, unpacked from ``words`` on
-        first read and kept."""
-        if self._extensions is None:
-            extensions = unpack_columns(self.words, self.dataset.n)
-            extensions.setflags(write=False)
-            self._extensions = extensions
-        return self._extensions
+        each read."""
+        extensions = unpack_columns(self.words, self.dataset.n)
+        extensions.setflags(write=False)
+        return extensions
 
     @classmethod
     def from_primitives(cls, dataset: Dataset) -> "FeatureSet":

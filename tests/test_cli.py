@@ -93,6 +93,15 @@ def test_construct_flag_misuse_exits_2(toy_csv, tmp_path):
         main(["construct", toy_csv, "--lambda", "0.3",
               "--out", str(tmp_path / "x")])
     assert err.value.code == 2
+    out = tmp_path / "out"
+    out.mkdir()
+    for flag in (["--risk", "0.001"], ["--lambda", "0.5"], ["--max-iter", "3"],
+                 ["--prune", "off"]):  # uFC flags are no uFRINGE settings
+        with pytest.raises(SystemExit) as err:
+            main(["construct", toy_csv, "--algorithm", "ufringe", *flag,
+                  "--out", str(out / "x")])
+        assert err.value.code == 2
+    assert list(out.iterdir()) == []
 
 
 def test_module_error_exits_1(tmp_path, capsys):

@@ -217,16 +217,36 @@ def test_dataset_keeps_its_own_copy_of_a_writeable_matrix():
     assert not d.matrix.any()
 
 
-def test_dataset_shares_only_a_read_only_matrix_that_owns_its_data():
-    owner = np.zeros((2, 2), dtype=bool)
-    owner.setflags(write=False)
-    assert Dataset(["a", "b"], owner).matrix is owner
+def test_dataset_keeps_its_own_copy_of_a_read_only_view():
     base = np.zeros((2, 3), dtype=bool)
     view = base[:, :2]
     view.setflags(write=False)
     d = Dataset(["a", "b"], view)
     base[0, 0] = True
     assert not d.matrix.any()
+
+
+def test_dataset_keeps_only_its_own_read_only_words():
+    n, names = 70, ["a", "b", "c"]
+    matrix = np.random.default_rng(4).random((n, 3)) < 0.5
+    want = matrix.copy()
+    words = pack_columns(matrix)
+    built = [Dataset(names, matrix), Dataset.from_words(names, words, n)]
+    matrix[...] = ~matrix  # neither the source matrix nor the words reach d
+    words[...] = ~words
+    for d in built:
+        assert np.array_equal(d.matrix, want)
+        assert np.array_equal(d.words, pack_columns(want))
+        assert not d.words.flags.writeable and not d.matrix.flags.writeable
+        assert not np.unpackbits(d.words.view(np.uint8), axis=1)[:, n:].any()
+        arrays = [v for v in vars(d).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is d.words  # even after reads
+    owned = pack_columns(want)
+    owned.setflags(write=False)
+    assert Dataset.from_words(names, owned, n).words is owned
+    view = pack_columns(want)[:, :]
+    view.setflags(write=False)
+    assert Dataset.from_words(names, view, n).words is not view
 
 
 # -- regular-file fast path against the strict parser --------------------------
@@ -340,15 +360,14 @@ def per_row_dump(d: Dataset, out) -> None:
 
 
 WIDE = 300
-BLOCK_ROWS = ds._DUMP_BLOCK_BYTES // (2 * WIDE)
+DUMP_ROWS = ds._DUMP_BLOCK_BYTES // (2 * WIDE) // 8 * 8  # rows per dump block
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [1, DUMP_ROWS - 1, DUMP_ROWS, DUMP_ROWS + 1])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_dump_equals_per_row_writer(n, order):
     matrix = np.random.default_rng(n).random((n, WIDE)) < 0.5
-    matrix = np.asarray(matrix, order=order)
-    matrix.setflags(write=False)  # shared as is, so the F layout reaches dump
+    matrix = np.asarray(matrix, order=order)  # packed either way: dump reads words
     d = Dataset([f"f{j}" for j in range(WIDE)], matrix)
     got, want = io.StringIO(), io.StringIO()
     dump_dataset(d, got)
@@ -356,7 +375,19 @@ def test_dump_equals_per_row_writer(n, order):
     assert got.getvalue() == want.getvalue()
 
 
-DUMP_ROWS = BLOCK_ROWS // 8 * 8  # rows per block: whole bytes of each column
+def test_very_wide_dataset_dumps_in_eight_row_blocks():
+    n, k = 21, 70000  # 2 * k bytes per row: the block floor of 8 rows applies
+    assert ds._DUMP_BLOCK_BYTES // (2 * k) < 8
+    rng = np.random.default_rng(7)
+    distinct = rng.random((5, k)) < 0.5
+    matrix = distinct[rng.integers(0, len(distinct), n)]
+    d = Dataset([f"f{j}" for j in range(k)], matrix)
+    got, want = io.StringIO(), io.StringIO()
+    dump_dataset(d, got)
+    per_row_dump(d, want)
+    assert got.getvalue() == want.getvalue()
+    assert load_dataset(got.getvalue().encode()) == d
+    assert unique_count(d) == len(np.unique(matrix, axis=0))
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, DUMP_ROWS + 1, DUMP_ROWS + 9])

@@ -147,6 +147,16 @@ def test_children_of_members_read_no_primitive_column():
     assert_same_set(grown, want)
 
 
+def test_sets_keep_only_their_read_only_words():
+    fs = FeatureSet.from_primitives(D)
+    for got in (fs, fs.extend([ex.parse("a & !b")]), fs.select([1, 0, 1, 1])):
+        got.extensions  # unpacked on each read, never kept
+        arrays = [v for v in vars(got).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is got.words
+        assert not got.words.flags.writeable
+        assert got.words.shape == (got.m, D.words.shape[1])
+
+
 def test_constructor_still_rejects_what_extend_skips():
     twins = [ex.parse("a & b"), ex.parse("b & a")]
     with pytest.raises(MetricsError, match="duplicate"):
