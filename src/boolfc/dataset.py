@@ -234,23 +234,24 @@ def save_dataset(d: Dataset, path) -> None:
 
 
 def unique_count(d: Dataset) -> int:
-    """Number of distinct full rows, computed once per (immutable) dataset.
-
-    Each row is packed into whole 64-bit words, so rows compare as one
-    integer each when k <= 64."""
+    """Number of distinct full rows, computed once per (immutable) dataset
+    by sorting the rows, packed into 64-bit words, and counting changes."""
     if d._unique_rows is None:
         rows = pack_columns(d.matrix.T)  # (n, ceil(k / 64))
-        if rows.shape[1] == 1:
-            d._unique_rows = len(np.unique(rows[:, 0]))
-        else:
-            d._unique_rows = len(np.unique(rows, axis=0))
+        rows = rows[np.lexsort(rows.T)]  # equal rows end up adjacent
+        d._unique_rows = 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
     return d._unique_rows
+
+
+def check_noise_fraction(pct: float) -> None:
+    """Raise ValueError unless ``pct`` is a fraction in [0, 1] (NaN is not)."""
+    if not 0.0 <= pct <= 1.0:
+        raise ValueError(f"noise fraction must be in [0, 1], got {pct}")
 
 
 def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:
     """Flip exactly round(pct * k * n) distinct cells, chosen by ``seed``."""
-    if not 0.0 <= pct <= 1.0:
-        raise ValueError(f"noise fraction must be in [0, 1], got {pct}")
+    check_noise_fraction(pct)
     total = d.n * d.k
     flips = int(round(pct * total))
     matrix = np.array(d.matrix, order="C")  # cells are flipped in row order

@@ -4,11 +4,12 @@ of a dataset and report how similar the resulting feature sets stay."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import Dataset, inject_noise
+from .dataset import Dataset, check_noise_fraction, inject_noise
 from .ufc import RiskMode, UfcConfig, count_common, ufc_run
 
 NOISE_CSV_HEADER = (
@@ -43,27 +44,26 @@ def noise_experiment(
 ) -> list[NoiseRow]:
     """For each noise fraction, run the risk-based construction on
     ``replicates`` independently noised copies and collect the five
-    stability indicators.  ``common_between_runs`` is averaged over all
-    replicate pairs at the same fraction."""
+    stability indicators; ``common_between_runs`` is averaged over all
+    replicate pairs at the same fraction.  A copy equal to ``d`` (no cell
+    flipped) reuses the deterministic noise-free run instead of a rerun."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    for pct in pcts:  # all fractions, before the first uFC run
+        check_noise_fraction(pct)
     cfg = UfcConfig(RiskMode(alpha), candidate_pruning=pruning)
-    baseline = ufc_run(d, cfg).features
+    base = ufc_run(d, cfg)
 
     rows: list[NoiseRow] = []
     for pct_index, pct in enumerate(pcts):
         feature_sets, reports = [], []
         for rep in range(replicates):
             noised = inject_noise(d, pct, replicate_seed(seed, pct_index, rep))
-            result = ufc_run(noised, cfg)
+            result = base if noised == d else ufc_run(noised, cfg)
             feature_sets.append(result.features)
             reports.append(result.final_report())
         if replicates > 1:
-            pair_counts = [
-                count_common(feature_sets[i], feature_sets[j])
-                for i in range(replicates)
-                for j in range(i + 1, replicates)
-            ]
+            pair_counts = [count_common(a, b) for a, b in combinations(feature_sets, 2)]
             common_between = sum(pair_counts) / len(pair_counts)
         else:
             common_between = float(feature_sets[0].m)
@@ -75,7 +75,7 @@ def noise_experiment(
                     oi=rep_report.oi,
                     c0=rep_report.c0,
                     num_features=fs.m,
-                    common_with_zero_noise=count_common(fs, baseline),
+                    common_with_zero_noise=count_common(fs, base.features),
                     common_between_runs=common_between,
                 )
             )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +142,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "case",
     ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
-     "construct-run-json-is-dir", "transform-unknown-feature"],
+     "construct-run-json-is-dir", "transform-unknown-feature",
+     "noise-fraction-above-1"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
@@ -149,6 +154,9 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
         given.write_text("w & nope\n")
         argv = ["transform", toy_csv, "--features", str(given),
                 "--out", str(out / "tf.csv")]
+    elif case == "noise-fraction-above-1":
+        argv = ["noise", toy_csv, "--pcts", "0,0.05,1.5", "--replicates", "5",
+                "--out", str(out / "noise.csv")]
     elif case == "construct-run-json-is-dir":
         # the features file opens, the run file cannot
         (out / "x.run.json").mkdir()
@@ -263,6 +271,34 @@ def test_noise_zero_pct_common_equals_m(toy_csv, tmp_path):
         pct, rep, oi, c0, m, common0, common_between = line.split(",")
         assert common0 == m
         assert float(common_between) == float(m)
+
+
+def test_commands_never_import_numpy_ma(toy_csv, tmp_path):
+    """The first ``np.unique`` call imports ``numpy.ma`` (about 15 ms); a
+    fresh construct, metrics or noise process must not pay for it."""
+    script = (
+        "import sys, numpy\n"
+        "print('numpy.ma' in sys.modules)\n"
+        "from boolfc.cli import main\n"
+        "csv, out = sys.argv[1:]\n"
+        "assert main(['construct', csv, '--risk', '0.001', '--out', out]) == 0\n"
+        "assert main(['metrics', csv, '--features', out + '.features.txt']) == 0\n"
+        "assert main(['noise', csv, '--pcts', '0,0.1', '--replicates', '2',\n"
+        "             '--out', out + '.noise.csv']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, toy_csv, str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    if lines[0] == "True":
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    assert lines[-1] == "False"
 
 
 def test_determinism_byte_identical(toy_csv, tmp_path):
