@@ -82,14 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, help="iteration cap for fixed mode")
     p.add_argument("--risk", type=float,
                    help="significance level for the risk-based mode")
-    p.add_argument("--hard-cap", type=int, default=100)
+    p.add_argument("--hard-cap", type=int)
     p.add_argument("--prune", type=_parse_prune, default=None,
                    help="candidate pruning on|off (default: on in risk mode)")
-    p.add_argument("--max-features", type=int, default=300,
+    p.add_argument("--max-features", type=int,
                    help="feature budget (ufringe): a round starts only while "
                         "fewer features exist, and appends its whole fringe")
-    p.add_argument("--min-leaf", type=int, default=5)
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--min-leaf", type=int)
+    p.add_argument("--max-depth", type=int)
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(run=lambda args: cmd_construct(args, parser))
 
@@ -154,7 +154,15 @@ def mangle_name(text: str, taken: set[str]) -> str:
     return name
 
 
+def _given(**flags) -> dict:
+    """The flags set on the command line: the rest keep their defaults
+    from the config class they are passed to."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def cmd_construct(args, parser) -> int:
+    ufringe_flags = _given(max_features=args.max_features,
+                           min_leaf=args.min_leaf, max_depth=args.max_depth)
     if args.algorithm == "ufc":
         fixed = args.threshold is not None or args.max_iter is not None
         risk = args.risk is not None
@@ -164,8 +172,13 @@ def cmd_construct(args, parser) -> int:
             parser.error("fixed mode needs both --lambda and --max-iter")
         if not fixed and not risk:
             parser.error("choose --lambda X --max-iter N or --risk A")
+        if fixed and args.hard_cap is not None:
+            parser.error("--hard-cap applies only to the risk-based mode")
+        if ufringe_flags:
+            parser.error("--max-features, --min-leaf and --max-depth apply "
+                         "only to uFRINGE")
         if risk:
-            mode = RiskMode(args.risk, args.hard_cap)
+            mode = RiskMode(args.risk, **_given(hard_cap=args.hard_cap))
         else:
             mode = FixedMode(args.threshold, args.max_iter)
         d = load_dataset(args.dataset)
@@ -174,15 +187,13 @@ def cmd_construct(args, parser) -> int:
         run_dict = result.to_json_dict()
         final = result.final_report()
     else:
-        ufc_flags = (args.threshold, args.max_iter, args.risk, args.prune)
+        ufc_flags = (args.threshold, args.max_iter, args.risk, args.hard_cap,
+                     args.prune)
         if any(v is not None for v in ufc_flags):
-            parser.error("--lambda, --max-iter, --risk and --prune apply only to uFC")
+            parser.error("--lambda, --max-iter, --risk, --hard-cap and --prune "
+                         "apply only to uFC")
         d = load_dataset(args.dataset)
-        cfg = UfringeConfig(
-            max_features=args.max_features,
-            min_leaf=args.min_leaf,
-            max_depth=args.max_depth,
-        )
+        cfg = UfringeConfig(**ufringe_flags)
         fs = ufringe_run(d, cfg)
         final = report(fs)
         run_dict = {

@@ -250,14 +250,16 @@ def check_noise_fraction(pct: float) -> None:
 
 
 def inject_noise(d: Dataset, pct: float, seed: int) -> Dataset:
-    """Flip exactly round(pct * k * n) distinct cells, chosen by ``seed``."""
+    """Flip exactly round(pct * k * n) distinct cells, chosen by ``seed``;
+    with no cell to flip, ``d`` itself."""
     check_noise_fraction(pct)
     total = d.n * d.k
     flips = int(round(pct * total))
+    if not flips:
+        return d
     matrix = np.array(d.matrix, order="C")  # cells are flipped in row order
-    if flips:
-        rng = np.random.default_rng(seed)
-        cells = rng.choice(total, size=flips, replace=False)
-        flat = matrix.reshape(-1)
-        flat[cells] = ~flat[cells]
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(total, size=flips, replace=False)
+    flat = matrix.reshape(-1)
+    flat[cells] = ~flat[cells]
     return Dataset(d.feature_names, matrix)

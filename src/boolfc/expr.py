@@ -8,7 +8,7 @@ Grammar::
     IDENT  := IDENT_RE: a letter or '_', then letters, digits, '_' or '-'
 
 Expressions are immutable values.  Each node derives its text and its
-canonical form once, on first use, and keeps them.  Canonical form
+canonical form once, when it is built, and keeps them.  Canonical form
 removes double negations and orders the two operands of every
 conjunction by their canonical serialization, so equal expressions have
 byte-identical canonical text.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
@@ -49,16 +48,22 @@ class UnknownFeatureError(ExprError):
 
 
 # ``text`` is the deterministic, re-parseable rendering using '!', '&' and
-# parens; ``canonical`` is the canonical form, built from the children's
-# canonical forms and the same object when nothing changes.  Not and And
-# cache both in the instance ``__dict__``; they are not dataclass fields,
-# so ``==``, ``hash`` and ``repr`` stay structural.  A node that is its own
-# canonical form caches True, not itself: a node that referred to itself
-# would live on until the cycle collector ran.
+# parens; ``canonical`` is the canonical form.  Not and And derive both
+# when they are built, from their children's, which exist already because
+# every tree is built bottom-up; so no step recurses on depth.  Both live
+# in the instance ``__dict__``; they are not dataclass fields, so ``==``,
+# ``hash`` and ``repr`` stay structural.  A node that is its own canonical
+# form stores None, not itself: a node that referred to itself would live
+# on until the cycle collector ran.
 
 
-def _cache_canonical(node, form) -> None:
-    node.__dict__["_canonical"] = True if form is node else form
+class _Derived:
+    """Base of Not and And, whose ``__post_init__`` stores ``text`` and
+    ``_canonical``."""
+
+    @property
+    def canonical(self) -> "FeatureExpr":
+        return self if self._canonical is None else self._canonical
 
 
 @dataclass(frozen=True)
@@ -75,53 +80,36 @@ class Prim:
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Derived):
     child: "FeatureExpr"
 
-    @cached_property
-    def text(self) -> str:
-        if isinstance(self.child, And):
-            return f"!({self.child.text})"
-        return f"!{self.child.text}"
-
-    @property
-    def canonical(self) -> "FeatureExpr":
-        form = self.__dict__.get("_canonical")
-        if form is None:
-            child = self.child.canonical
-            if isinstance(child, Not):
-                form = child.child
-            else:
-                form = self if child is self.child else Not(child)
-            _cache_canonical(self, form)
-        return self if form is True else form
+    def __post_init__(self):
+        child = self.child
+        text = f"!({child.text})" if isinstance(child, And) else f"!{child.text}"
+        form = child.canonical
+        if isinstance(form, Not):
+            form = form.child
+        else:
+            form = None if form is child else Not(form)
+        self.__dict__.update(text=text, _canonical=form)
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Derived):
     left: "FeatureExpr"
     right: "FeatureExpr"
 
-    @cached_property
-    def text(self) -> str:
+    def __post_init__(self):
         # '&' is left-associative: only a right-hand conjunction needs parens
         if isinstance(self.right, And):
-            return f"{self.left.text} & ({self.right.text})"
-        return f"{self.left.text} & {self.right.text}"
-
-    @property
-    def canonical(self) -> "And":
-        form = self.__dict__.get("_canonical")
-        if form is None:
-            left, right = self.left.canonical, self.right.canonical
-            if left.text > right.text:
-                left, right = right, left
-            if left is self.left and right is self.right:
-                form = self
-            else:
-                form = And(left, right)
-            _cache_canonical(self, form)
-        return self if form is True else form
+            text = f"{self.left.text} & ({self.right.text})"
+        else:
+            text = f"{self.left.text} & {self.right.text}"
+        left, right = self.left.canonical, self.right.canonical
+        if left.text > right.text:
+            left, right = right, left
+        form = None if left is self.left and right is self.right else And(left, right)
+        self.__dict__.update(text=text, _canonical=form)
 
 
 FeatureExpr = Union[Prim, Not, And]
@@ -193,8 +181,8 @@ def to_text(e: FeatureExpr) -> str:
 def canonicalize(e: FeatureExpr) -> FeatureExpr:
     """Remove double negations and sort conjunction operands; idempotent.
 
-    The node's cached canonical form: an expression that is already
-    canonical is returned as the same object.
+    The canonical form the node derived when it was built: an expression
+    that is already canonical is returned as the same object.
     """
     return e.canonical
 
@@ -222,29 +210,33 @@ def evaluate_words(
     """
     memo = dict(known)  # canonical text -> words
     ones = pack_columns(np.ones((dataset.n, 1), dtype=bool))[0]
-
-    def words(e: FeatureExpr) -> np.ndarray:
-        key = e.canonical.text
-        col = memo.get(key)
-        if col is None:
-            if isinstance(e, Prim):
-                if e.name not in dataset.name_index:
-                    raise UnknownFeatureError(f"unknown feature {e.name!r}")
-                col = dataset.words[dataset.name_index[e.name]]
-            elif isinstance(e, Not):
-                col = words(e.child) ^ ones
-            else:
-                col = words(e.left) & words(e.right)
-            memo[key] = col
-        return col
-
     out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
     for j, e in enumerate(exprs):
-        try:
-            out[j] = words(e)
-        except UnknownFeatureError as err:
-            err.member = j
-            raise
+        # post-order: a node is pushed back as ready above its operands,
+        # which are pushed unready with the left one on top
+        stack = [(e, False)]
+        while stack:
+            node, ready = stack.pop()
+            key = node.canonical.text
+            if key in memo:
+                continue
+            if isinstance(node, Prim):
+                index = dataset.name_index.get(node.name)
+                if index is None:
+                    err = UnknownFeatureError(f"unknown feature {node.name!r}")
+                    err.member = j
+                    raise err
+                memo[key] = dataset.words[index]
+            elif isinstance(node, Not):
+                if ready:
+                    memo[key] = memo[node.child.canonical.text] ^ ones
+                else:
+                    stack += ((node, True), (node.child, False))
+            elif ready:
+                memo[key] = memo[node.left.canonical.text] & memo[node.right.canonical.text]
+            else:
+                stack += ((node, True), (node.right, False), (node.left, False))
+        out[j] = memo[e.canonical.text]
     return out
 
 

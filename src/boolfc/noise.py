@@ -45,8 +45,9 @@ def noise_experiment(
     """For each noise fraction, run the risk-based construction on
     ``replicates`` independently noised copies and collect the five
     stability indicators; ``common_between_runs`` is averaged over all
-    replicate pairs at the same fraction.  A copy equal to ``d`` (no cell
-    flipped) reuses the deterministic noise-free run instead of a rerun."""
+    replicate pairs at the same fraction.  A replicate with no cell to
+    flip gets ``d`` itself from ``inject_noise`` and reuses the
+    deterministic noise-free run instead of a rerun."""
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     for pct in pcts:  # all fractions, before the first uFC run
@@ -59,7 +60,7 @@ def noise_experiment(
         feature_sets, reports = [], []
         for rep in range(replicates):
             noised = inject_noise(d, pct, replicate_seed(seed, pct_index, rep))
-            result = base if noised == d else ufc_run(noised, cfg)
+            result = base if noised is d else ufc_run(noised, cfg)
             feature_sets.append(result.features)
             reports.append(result.final_report())
         if replicates > 1:

@@ -66,6 +66,10 @@ def test_construct_risk_mode_records_threshold(tmp_path, capsys):
     assert main(["construct", str(path), "--risk", "0.001", "--out", out]) == 0
     run = json.loads(read_bytes(out + ".run.json"))
     assert run["threshold"] == pytest.approx(0.190, abs=0.001)
+    assert main(["construct", str(path), "--risk", "0.001", "--hard-cap", "1",
+                 "--out", out]) == 0
+    run = json.loads(read_bytes(out + ".run.json"))
+    assert (run["stop_reason"], run["iterations"]) == ("hard_cap", 1)
 
 
 def test_construct_high_lambda_returns_primitives(toy_csv, tmp_path, capsys):
@@ -100,11 +104,22 @@ def test_construct_flag_misuse_exits_2(toy_csv, tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     for flag in (["--risk", "0.001"], ["--lambda", "0.5"], ["--max-iter", "3"],
-                 ["--prune", "off"]):  # uFC flags are no uFRINGE settings
+                 ["--hard-cap", "5"], ["--prune", "off"]):
+        # uFC flags are no uFRINGE settings
         with pytest.raises(SystemExit) as err:
             main(["construct", toy_csv, "--algorithm", "ufringe", *flag,
                   "--out", str(out / "x")])
         assert err.value.code == 2
+    for mode in (["--risk", "0.001"], ["--lambda", "0.3", "--max-iter", "2"]):
+        for flag in (["--max-features", "12"], ["--min-leaf", "3"],
+                     ["--max-depth", "4"]):  # nor uFRINGE flags uFC settings
+            with pytest.raises(SystemExit) as err:
+                main(["construct", toy_csv, *mode, *flag, "--out", str(out / "x")])
+            assert err.value.code == 2
+    with pytest.raises(SystemExit) as err:  # the cap is the risk mode's
+        main(["construct", toy_csv, "--lambda", "0.3", "--max-iter", "2",
+              "--hard-cap", "5", "--out", str(out / "x")])
+    assert err.value.code == 2
     assert list(out.iterdir()) == []
 
 
@@ -247,6 +262,20 @@ def test_metrics_reads_a_feature_file_with_bom(toy_csv, tmp_path, capsys):
     assert main(["metrics", toy_csv, "--features", str(plain)]) == 0
     want = capsys.readouterr().out
     assert main(["metrics", toy_csv, "--features", str(bom)]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_metrics_reads_a_feature_nested_past_the_recursion_limit(
+    toy_csv, tmp_path, capsys
+):
+    # 3000 negations, an even run, over 'w & x': the canonical form is
+    # 'w & x', so the report is the same
+    plain, deep = tmp_path / "f.txt", tmp_path / "deep.txt"
+    plain.write_text("w & x\ny\n")
+    deep.write_text("!" * 3000 + "(w & x)\ny\n")
+    assert main(["metrics", toy_csv, "--features", str(plain)]) == 0
+    want = capsys.readouterr().out
+    assert main(["metrics", toy_csv, "--features", str(deep)]) == 0
     assert capsys.readouterr().out == want
 
 

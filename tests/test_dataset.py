@@ -169,8 +169,11 @@ def test_unique_count_row_permutation_invariant():
 
 
 def test_inject_noise_zero_is_identity():
+    # no cell to flip gives the dataset itself, also for a nonzero
+    # fraction that rounds to zero flips (0.4 of one cell)
     d = load("a,b\n1,0\n0,1\n")
-    assert inject_noise(d, 0.0, seed=1) == d
+    assert inject_noise(d, 0.0, seed=1) is d
+    assert inject_noise(d, 0.4 / (d.n * d.k), seed=1) is d
 
 
 def test_inject_noise_exact_flip_count():

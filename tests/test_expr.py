@@ -26,6 +26,7 @@ from boolfc.expr import (
     parse,
     to_text,
 )
+from boolfc.metrics import DuplicateFeatureError, FeatureSet
 
 # -- naive per-row oracle ----------------------------------------------------
 
@@ -251,7 +252,7 @@ def test_canonicalize_idempotent(e):
 
 # -- reference renderer, canonicalizer and literal counter -------------------
 # The recursive forms that re-render every subtree on each call, kept as
-# the oracle for the nodes' cached text.
+# the oracle for the nodes' stored text.
 
 
 def ref_to_text(e) -> str:
@@ -331,7 +332,7 @@ def check_against_references(e):
     assert literal_count(e) == ref_literal_count(e)
     for sub in subtrees(c):
         assert canonicalize(sub) is sub
-    # the cached text is not part of a node's value
+    # the stored text is not part of a node's value
     assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
 
 
@@ -368,8 +369,8 @@ def test_canonical_node_holds_no_reference_to_itself(text):
 
 
 def test_canonical_form_costs_one_frame_per_level():
-    # 800 levels fit under the default recursion limit of 1000 only if the
-    # first read of each node's canonical form stacks a single frame
+    # 800 stacked negations collapse to their leaf, and both 800-level
+    # chains evaluate; test_expressions_past_the_recursion_limit goes deeper
     leaf = Prim("a")
     negated, nested = leaf, leaf
     for i in range(800):
@@ -401,6 +402,36 @@ def test_deep_expressions_match_recursive_reference():
         assert literal_count(e) == ref_literal_count(e)
         assert all(canonicalize(sub) is sub for sub in subtrees(c))
     assert canonical_text(negated) == "!a" and literal_count(negated) == 1
+
+
+def test_expressions_past_the_recursion_limit():
+    # 5000 levels, five times the default recursion limit: nodes derive
+    # their text and canonical form when built, and evaluation keeps an
+    # explicit stack, so no step recurses on depth
+    d = Dataset(["a", "b"], np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=bool))
+    a, b = d.column("a"), d.column("b")
+    negated = mixed = leaf = Prim("a")
+    want = a
+    for _ in range(5000):
+        negated = Not(negated)
+    for _ in range(2500):
+        mixed = Not(And(mixed, Prim("b")))
+        want = ~(want & b)
+    assert to_text(negated) == "!" * 5000 + "a"
+    assert canonicalize(negated) is leaf and canonical_text(Not(negated)) == "!a"
+    assert literal_count(negated) == 1 and literal_count(Not(negated)) == 1
+    text = "!(" * 2500 + "a" + " & b)" * 2500
+    assert to_text(mixed) == text and canonical_text(mixed) == text
+    assert canonicalize(mixed) is mixed and literal_count(mixed) == 2
+    assert np.array_equal(evaluate(negated, d), a)
+    assert np.array_equal(evaluate(Not(negated), d), ~a)
+    assert np.array_equal(evaluate(mixed, d), want)
+    fs = FeatureSet([negated, mixed, Not(negated)], d)
+    assert fs.keys == ("a", text, "!a") and fs.literal_counts == (1, 2, 1)
+    assert np.array_equal(fs.extensions, np.column_stack([a, want, ~a]))
+    with pytest.raises(DuplicateFeatureError) as err:
+        FeatureSet([leaf, negated], d)
+    assert err.value.member == 1
 
 
 # -- evaluation --------------------------------------------------------------

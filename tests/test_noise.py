@@ -74,7 +74,7 @@ def test_unflipped_replicates_reuse_the_noise_free_run(runs):
     rows = noise_experiment(d, pcts, replicates=3, seed=2)
     # the noise-free run, then one per replicate at 0.1
     assert len(runs) == 1 + 3
-    assert runs[0] == d and all(noised != d for noised in runs[1:])
+    assert runs[0] is d and all(noised != d for noised in runs[1:])
     assert rows[0].num_features > d.k  # uFC constructed something to reuse
     got, want = io.StringIO(), io.StringIO()
     write_noise_csv(rows, got)
