@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import TextIO, Union
+from typing import Iterator, TextIO, Union
 
 import numpy as np
 
@@ -174,11 +174,20 @@ def _load_regular(raw: bytes) -> Dataset | None:
     return Dataset(names, rows[:, 0:2 * k:2] == ord("1"))
 
 
+def csv_records(reader, error: type[Exception]) -> Iterator[list[str]]:
+    """The records of a ``csv.reader``; a ``csv.Error``, such as a cell
+    over the field size limit, is raised as ``error`` naming its line."""
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise error(f"line {reader.line_num}: {err}") from None
+
+
 def _load_strict(stream: TextIO) -> Dataset:
     """Parse a text stream cell by cell, reporting the first bad line."""
-    reader = csv.reader(stream)
+    records = csv_records(csv.reader(stream), DatasetError)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise DatasetError("line 1: missing header row") from None
     names = [cell.strip() for cell in header]
@@ -187,7 +196,7 @@ def _load_strict(stream: TextIO) -> Dataset:
     except DatasetError as err:
         raise DatasetError(f"line 1: {err}") from None
     rows = []
-    for lineno, cells in enumerate(reader, start=2):
+    for lineno, cells in enumerate(records, start=2):
         if not cells:
             continue
         if len(cells) != len(names):

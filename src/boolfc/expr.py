@@ -51,36 +51,45 @@ class UnknownFeatureError(ExprError):
 # parens; ``canonical`` is the canonical form.  Not and And derive both
 # when they are built, from their children's, which exist already because
 # every tree is built bottom-up; so no step recurses on depth.  Both live
-# in the instance ``__dict__``; they are not dataclass fields, so ``==``,
-# ``hash`` and ``repr`` stay structural.  A node that is its own canonical
-# form stores None, not itself: a node that referred to itself would live
-# on until the cycle collector ran.
+# in the instance ``__dict__``, not in dataclass fields.  ``text`` renders
+# the structure one to one, so it is an expression's identity: ``==``,
+# ``hash`` and ``repr`` read it, and the dataclasses generate none of them.
+# A node that is its own canonical form stores None, not itself: a node
+# that referred to itself would live on until the cycle collector ran.
 
 
-class _Derived:
-    """Base of Not and And, whose ``__post_init__`` stores ``text`` and
-    ``_canonical``."""
+class _Expr:
+    """Base of Prim, Not and And: identity, hash and repr from ``text``."""
+
+    _canonical = None  # Prim: always its own canonical form
 
     @property
     def canonical(self) -> "FeatureExpr":
         return self if self._canonical is None else self._canonical
 
+    def __eq__(self, other):
+        if not isinstance(other, _Expr):
+            return NotImplemented
+        return self.text == other.text
 
-@dataclass(frozen=True)
-class Prim:
+    def __hash__(self):
+        return hash(self.text)
+
+    def __repr__(self):
+        return f"parse({self.text!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Prim(_Expr):
     name: str
 
     @property
     def text(self) -> str:
         return self.name
 
-    @property
-    def canonical(self) -> "Prim":
-        return self
 
-
-@dataclass(frozen=True)
-class Not(_Derived):
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Expr):
     child: "FeatureExpr"
 
     def __post_init__(self):
@@ -94,8 +103,8 @@ class Not(_Derived):
         self.__dict__.update(text=text, _canonical=form)
 
 
-@dataclass(frozen=True)
-class And(_Derived):
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Expr):
     left: "FeatureExpr"
     right: "FeatureExpr"
 

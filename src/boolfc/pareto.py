@@ -8,7 +8,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .dataset import Dataset
+from .dataset import Dataset, csv_records
 from .ufc import FixedMode, UfcConfig, ufc_run
 
 SWEEP_CSV_HEADER = "lambda,limit_iter,num_features,oi,c0,c1,rms"
@@ -110,11 +110,12 @@ def read_sweep_csv(stream: TextIO) -> list[Solution]:
     """Parse a sweep CSV; a malformed row raises ValueError with its
     1-based line number."""
     reader = csv.reader(stream)
-    header = next(reader, [])  # an empty file has no header
+    records = csv_records(reader, ValueError)
+    header = next(records, [])  # an empty file has no header
     if ",".join(h.strip() for h in header) != SWEEP_CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {header}")
     out = []
-    for row in reader:
+    for row in records:
         if not row:
             continue
         if len(row) != len(header):

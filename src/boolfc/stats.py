@@ -231,12 +231,11 @@ def kendall_tau_test(x: Sequence[float], y: Sequence[float]) -> tuple[float, flo
     vt = sum(t * (t - 1) * (2 * t + 5) for t in tx)
     vu = sum(t * (t - 1) * (2 * t + 5) for t in ty)
     var_s = (v0 - vt - vu) / 18.0
-    if n > 2:
-        var_s += (
-            sum(t * (t - 1) * (t - 2) for t in tx)
-            * sum(t * (t - 1) * (t - 2) for t in ty)
-            / (9.0 * n * (n - 1) * (n - 2))
-        )
+    var_s += (
+        sum(t * (t - 1) * (t - 2) for t in tx)
+        * sum(t * (t - 1) * (t - 2) for t in ty)
+        / (9.0 * n * (n - 1) * (n - 2))
+    )
     var_s += (
         sum(t * (t - 1) for t in tx)
         * sum(t * (t - 1) for t in ty)
@@ -256,16 +255,9 @@ def kendall_exact_pvalue(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("sequences must have equal length")
     if n > 8:
         raise ValueError("exact permutation test limited to length 8")
-    tau_obs, _ = kendall_tau_test(x, y)
-    n0 = n * (n - 1) // 2
-    n1 = sum(t * (t - 1) // 2 for t in _tie_sizes(x))
-    n2 = sum(t * (t - 1) // 2 for t in _tie_sizes(y))
-    denom = math.sqrt((n0 - n1) * (n0 - n2))
-    hits = 0
-    total = 0
-    for perm in itertools.permutations(y):
-        tau = _kendall_s(x, perm) / denom
-        if abs(tau) >= abs(tau_obs) - 1e-12:
-            hits += 1
-        total += 1
-    return hits / total
+    kendall_tau_test(x, y)  # raises when tau is undefined or n < 3
+    # permuting y keeps its ties, so every permutation's tau has the
+    # observed tau's denominator: compare the integer S instead
+    s_obs = abs(_kendall_s(x, y))
+    hits = sum(abs(_kendall_s(x, perm)) >= s_obs for perm in itertools.permutations(y))
+    return hits / math.factorial(n)

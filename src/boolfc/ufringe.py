@@ -28,7 +28,7 @@ class UfringeConfig:
             raise ValueError("max_depth must be >= 2")
 
 
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
     """Binary clustering-tree node over a subset of individuals."""
 

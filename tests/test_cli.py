@@ -158,16 +158,23 @@ def test_missing_file_exits_1(tmp_path, capsys):
     "case",
     ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
      "construct-run-json-is-dir", "transform-unknown-feature",
-     "noise-fraction-above-1"],
+     "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
     out = tmp_path / "out"
     out.mkdir()
     header = "lambda,limit_iter,num_features,oi,c0,c1,rms\n"
+    huge = '"' + "1" * 200_000 + '"'  # past the csv module's field size limit
     if case == "transform-unknown-feature":
         given.write_text("w & nope\n")
         argv = ["transform", toy_csv, "--features", str(given),
+                "--out", str(out / "tf.csv")]
+    elif case == "transform-huge-cell":
+        given.write_text("w,x\n" + huge + ",0\n")
+        features = tmp_path / "features.txt"
+        features.write_text("w\n")
+        argv = ["transform", str(given), "--features", str(features),
                 "--out", str(out / "tf.csv")]
     elif case == "noise-fraction-above-1":
         argv = ["noise", toy_csv, "--pcts", "0,0.05,1.5", "--replicates", "5",
@@ -178,7 +185,8 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
         argv = ["construct", toy_csv, "--risk", "0.01", "--out", str(out / "x")]
     else:
         rows = {"pareto-empty": "", "pareto-header-only": header,
-                "pareto-closest-dir-missing": header + "0.1,1,4,0.3,0,1,0.2\n"}
+                "pareto-closest-dir-missing": header + "0.1,1,4,0.3,0,1,0.2\n",
+                "pareto-huge-cell": header + huge + ",1,4,0.3,0,1,0.2\n"}
         given.write_text(rows[case])
         closest = out / ("nodir" if case == "pareto-closest-dir-missing" else "")
         argv = ["pareto", "--in", str(given),
@@ -186,7 +194,8 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
                 "--closest-out", str(closest / "cp.json")]
     before = sorted(out.iterdir())
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: " if "huge" in case else "error: ")
     assert sorted(out.iterdir()) == before
 
 

@@ -80,6 +80,14 @@ def test_non_binary_cell_reports_line():
         load("a,b\n1,2\n")
 
 
+def test_cell_over_the_csv_field_limit_reports_line():
+    huge = '"' + "1" * 200_000 + '"'
+    for raw, line in ((huge + ",b\n1,0\n", 1), ("a,b\n" + huge + ",0\n", 2),
+                      ("a,b\n1,0\n" + huge + ",0\n", 3)):
+        with pytest.raises(DatasetError, match=f"^line {line}: field larger than"):
+            load_dataset(raw.encode())
+
+
 def test_ragged_row_reports_line():
     with pytest.raises(DatasetError, match="line 3"):
         load("a,b\n1,0\n1\n")

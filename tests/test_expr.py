@@ -53,6 +53,10 @@ def test_parse_negated_group():
 
 def test_parse_left_associative():
     assert parse("a & b & c") == And(And(Prim("a"), Prim("b")), Prim("c"))
+    # equality is of the text, which renders the structure one to one
+    a, b = Prim("a"), Prim("b")
+    assert And(a, b) != And(b, a) and parse("a & (b & c)") != parse("a & b & c")
+    assert Prim("a") != "a" and Prim("a") == parse("a")
 
 
 def test_parse_not_binds_tighter():
@@ -332,7 +336,7 @@ def check_against_references(e):
     assert literal_count(e) == ref_literal_count(e)
     for sub in subtrees(c):
         assert canonicalize(sub) is sub
-    # the stored text is not part of a node's value
+    # identity is the text, so a fresh copy is equal, hashes and prints alike
     assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
 
 
@@ -384,9 +388,8 @@ def test_canonical_form_costs_one_frame_per_level():
 
 
 def test_deep_expressions_match_recursive_reference():
-    # structural == and hash recurse through C as well as Python frames, so
-    # at these depths the reference rendering, which determines the
-    # structure, stands in for ==
+    # the reference rendering, which determines the structure, is checked
+    # against the text that ==, hash and repr read
     nested = Prim("x0")
     for i in range(1, 301):
         leaf = Prim(f"x{i % 7}")
@@ -406,8 +409,9 @@ def test_deep_expressions_match_recursive_reference():
 
 def test_expressions_past_the_recursion_limit():
     # 5000 levels, five times the default recursion limit: nodes derive
-    # their text and canonical form when built, and evaluation keeps an
-    # explicit stack, so no step recurses on depth
+    # their text and canonical form when built, ==, hash and repr read the
+    # text, and evaluation keeps an explicit stack, so no step recurses on
+    # depth
     d = Dataset(["a", "b"], np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=bool))
     a, b = d.column("a"), d.column("b")
     negated = mixed = leaf = Prim("a")
@@ -423,6 +427,11 @@ def test_expressions_past_the_recursion_limit():
     text = "!(" * 2500 + "a" + " & b)" * 2500
     assert to_text(mixed) == text and canonical_text(mixed) == text
     assert canonicalize(mixed) is mixed and literal_count(mixed) == 2
+    for e in (negated, mixed):
+        twin = parse(to_text(e))
+        assert twin is not e and twin == e and hash(twin) == hash(e)
+        assert repr(twin) == repr(e) and twin in {e} and twin != Not(e)
+    assert mixed != Not(Not(mixed)) and negated != mixed
     assert np.array_equal(evaluate(negated, d), a)
     assert np.array_equal(evaluate(Not(negated), d), ~a)
     assert np.array_equal(evaluate(mixed, d), want)

@@ -64,6 +64,8 @@ def test_tree_perfect_bisection():
     assert tree.true_child.is_leaf and tree.false_child.is_leaf
     assert tree.true_child.variance == 0.0
     assert tree.false_child.variance == 0.0
+    # trees compare by identity, not by their row arrays
+    assert tree == tree and tree.true_child != tree.false_child
 
 
 def test_tree_identical_rows_is_leaf():
