@@ -174,45 +174,49 @@ def _load_regular(raw: bytes) -> Dataset | None:
     return Dataset(names, rows[:, 0:2 * k:2] == ord("1"))
 
 
-def csv_records(reader, error: type[Exception]) -> Iterator[list[str]]:
-    """The records of a ``csv.reader``; a ``csv.Error``, such as a cell
-    over the field size limit, is raised as ``error`` naming its line."""
+def csv_table(stream: TextIO, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV text stream as ``(line, cells)``: the header
+    record first, even when blank, then every nonblank record.  ``line``
+    is the physical line the record ends on, so a quoted cell may span
+    lines.  A record whose width differs from the header's, or a
+    ``csv.Error`` such as a cell over the field size limit, raises
+    ``error`` naming its line."""
+    reader = csv.reader(stream)
+    width = None
     try:
-        yield from reader
+        for cells in reader:
+            if width is None:
+                width = len(cells)
+            elif not cells:
+                continue
+            elif len(cells) != width:
+                raise error(
+                    f"line {reader.line_num}: expected {width} cells, got {len(cells)}"
+                )
+            yield reader.line_num, cells
     except csv.Error as err:
         raise error(f"line {reader.line_num}: {err}") from None
 
 
 def _load_strict(stream: TextIO) -> Dataset:
     """Parse a text stream cell by cell, reporting the first bad line."""
-    records = csv_records(csv.reader(stream), DatasetError)
+    table = csv_table(stream, DatasetError)
     try:
-        header = next(records)
+        line, header = next(table)
     except StopIteration:
         raise DatasetError("line 1: missing header row") from None
     names = [cell.strip() for cell in header]
     try:
         check_feature_names(names)
     except DatasetError as err:
-        raise DatasetError(f"line 1: {err}") from None
+        raise DatasetError(f"line {line}: {err}") from None
     rows = []
-    for lineno, cells in enumerate(records, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(names):
-            raise DatasetError(
-                f"line {lineno}: expected {len(names)} cells, got {len(cells)}"
-            )
-        row = []
+    for line, cells in table:
+        cells = [cell.strip() for cell in cells]
         for cell in cells:
-            cell = cell.strip()
-            if cell == "0":
-                row.append(False)
-            elif cell == "1":
-                row.append(True)
-            else:
-                raise DatasetError(f"line {lineno}: non-binary cell {cell!r}")
-        rows.append(row)
+            if cell not in ("0", "1"):
+                raise DatasetError(f"line {line}: non-binary cell {cell!r}")
+        rows.append([cell == "1" for cell in cells])
     if not rows:
         raise DatasetError("line 2: no data rows")
     return Dataset(names, np.array(rows, dtype=bool))

@@ -3,12 +3,11 @@ in the (OI, C0) plane, and the closest-point selection rule."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
-from .dataset import Dataset, csv_records
+from .dataset import Dataset, csv_table
 from .ufc import FixedMode, UfcConfig, ufc_run
 
 SWEEP_CSV_HEADER = "lambda,limit_iter,num_features,oi,c0,c1,rms"
@@ -25,7 +24,6 @@ class Solution:
     c0: float
     c1: float
     rms: float
-    features_path: Optional[str] = None
 
     def distance_to_origin(self) -> float:
         return math.sqrt(self.oi * self.oi + self.c0 * self.c0)
@@ -109,20 +107,12 @@ def write_sweep_csv(sols: Iterable[Solution], out: TextIO) -> None:
 def read_sweep_csv(stream: TextIO) -> list[Solution]:
     """Parse a sweep CSV; a malformed row raises ValueError with its
     1-based line number."""
-    reader = csv.reader(stream)
-    records = csv_records(reader, ValueError)
-    header = next(records, [])  # an empty file has no header
-    if ",".join(h.strip() for h in header) != SWEEP_CSV_HEADER:
+    table = csv_table(stream, ValueError)
+    _, header = next(table, (None, []))  # an empty file has no header
+    if [h.strip() for h in header] != SWEEP_CSV_HEADER.split(","):
         raise ValueError(f"unexpected sweep CSV header: {header}")
     out = []
-    for row in records:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"line {reader.line_num}: expected {len(header)} cells, got {len(row)}"
-            )
-        lam, limit_iter, m, oi, c0, c1, rms_ = row
+    for line, (lam, limit_iter, m, oi, c0, c1, rms_) in table:
         try:
             out.append(
                 Solution(
@@ -136,7 +126,7 @@ def read_sweep_csv(stream: TextIO) -> list[Solution]:
                 )
             )
         except ValueError as err:
-            raise ValueError(f"line {reader.line_num}: {err}") from None
+            raise ValueError(f"line {line}: {err}") from None
     return out
 
 

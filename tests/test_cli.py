@@ -103,6 +103,11 @@ def test_construct_flag_misuse_exits_2(toy_csv, tmp_path):
     assert err.value.code == 2
     out = tmp_path / "out"
     out.mkdir()
+    for argv in (["--risk", "0.001", "--prune", "maybe"],  # on or off only
+                 []):  # neither mode
+        with pytest.raises(SystemExit) as err:
+            main(["construct", toy_csv, *argv, "--out", str(out / "x")])
+        assert err.value.code == 2
     for flag in (["--risk", "0.001"], ["--lambda", "0.5"], ["--max-iter", "3"],
                  ["--hard-cap", "5"], ["--prune", "off"]):
         # uFC flags are no uFRINGE settings
@@ -158,7 +163,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
     "case",
     ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
      "construct-run-json-is-dir", "transform-unknown-feature",
-     "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell"],
+     "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell",
+     "sweep-lambda-step-0", "sweep-iters-max-0", "noise-no-fraction"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
@@ -176,9 +182,15 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
         features.write_text("w\n")
         argv = ["transform", str(given), "--features", str(features),
                 "--out", str(out / "tf.csv")]
-    elif case == "noise-fraction-above-1":
-        argv = ["noise", toy_csv, "--pcts", "0,0.05,1.5", "--replicates", "5",
+    elif case.startswith("noise"):
+        pcts = {"noise-fraction-above-1": "0,0.05,1.5", "noise-no-fraction": ","}
+        argv = ["noise", toy_csv, "--pcts", pcts[case], "--replicates", "5",
                 "--out", str(out / "noise.csv")]
+    elif case.startswith("sweep"):
+        step, iters = ("0", "2") if case == "sweep-lambda-step-0" else ("0.1", "0")
+        argv = ["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", "0.3",
+                "--lambda-step", step, "--iters-max", iters,
+                "--out", str(out / "sweep.csv")]
     elif case == "construct-run-json-is-dir":
         # the features file opens, the run file cannot
         (out / "x.run.json").mkdir()
@@ -213,7 +225,8 @@ def test_sweep_pareto_pipeline(toy_csv, tmp_path):
     assert main(["pareto", "--in", sweep_csv, "--front-out", front_csv,
                  "--closest-out", closest]) == 0
     best = json.loads(read_bytes(closest))
-    assert {"lambda", "limit_iter", "oi", "c0"} <= set(best)
+    assert set(best) == {"c0", "c1", "lambda", "limit_iter", "num_features",
+                         "oi", "rms"}
 
     # the same sweep saved with a byte-order mark and CRLF line ends
     bom_csv = tmp_path / "sweep-bom.csv"
@@ -231,8 +244,14 @@ def test_metrics_command(toy_csv, tmp_path, capsys):
     feats = tmp_path / "f.txt"
     feats.write_text("w & x\ny\nz\n")
     assert main(["metrics", toy_csv, "--features", str(feats)]) == 0
-    rec = json.loads(capsys.readouterr().out.strip())
+    printed = capsys.readouterr().out
+    rec = json.loads(printed.strip())
     assert rec["m"] == 3
+    out = tmp_path / "metrics.json"  # --out writes the line it prints
+    assert main(["metrics", toy_csv, "--features", str(feats),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == printed
+    assert out.read_bytes() == printed.encode()
 
 
 def test_metrics_names_the_line_of_a_bad_feature(toy_csv, tmp_path, capsys):
@@ -300,15 +319,20 @@ def test_transform_roundtrips_and_matches_extensions(toy_csv, tmp_path):
 
 
 def test_noise_zero_pct_common_equals_m(toy_csv, tmp_path):
+    # with one replicate there is no pair of runs to compare, and
+    # common_between_runs is the set's own size at every fraction
     out = str(tmp_path / "noise.csv")
-    assert main(["noise", toy_csv, "--pcts", "0", "--replicates", "3",
-                 "--seed", "0", "--out", out]) == 0
-    lines = read_bytes(out).decode().splitlines()
-    assert lines[0] == NOISE_CSV_HEADER
-    for line in lines[1:]:
-        pct, rep, oi, c0, m, common0, common_between = line.split(",")
-        assert common0 == m
-        assert float(common_between) == float(m)
+    for pcts, replicates in (("0", "3"), ("0,0.1", "1")):
+        assert main(["noise", toy_csv, "--pcts", pcts, "--replicates",
+                     replicates, "--seed", "0", "--out", out]) == 0
+        lines = read_bytes(out).decode().splitlines()
+        assert lines[0] == NOISE_CSV_HEADER
+        assert len(lines) == 1 + len(pcts.split(",")) * int(replicates)
+        for line in lines[1:]:
+            pct, rep, oi, c0, m, common0, common_between = line.split(",")
+            if float(pct) == 0:
+                assert common0 == m
+            assert float(common_between) == float(m)
 
 
 def test_commands_never_import_numpy_ma(toy_csv, tmp_path):

@@ -76,8 +76,10 @@ def test_duplicate_name_rejected():
 
 
 def test_non_binary_cell_reports_line():
-    with pytest.raises(DatasetError, match="line 2.*non-binary"):
-        load("a,b\n1,2\n")
+    # a quoted cell may span lines: the error names the physical line
+    for text, line in (("a,b\n1,2\n", 2), ('a,b\n"1\n",0\n1,2\n', 4)):
+        with pytest.raises(DatasetError, match=f"^line {line}: non-binary"):
+            load(text)
 
 
 def test_cell_over_the_csv_field_limit_reports_line():
@@ -89,8 +91,9 @@ def test_cell_over_the_csv_field_limit_reports_line():
 
 
 def test_ragged_row_reports_line():
-    with pytest.raises(DatasetError, match="line 3"):
-        load("a,b\n1,0\n1\n")
+    for text, line in (("a,b\n1,0\n1\n", 3), ('a,b\n"1\n",0\n1\n', 4)):
+        with pytest.raises(DatasetError, match=f"^line {line}: expected 2 cells"):
+            load(text)
 
 
 def test_empty_name_rejected():

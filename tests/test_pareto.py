@@ -186,9 +186,13 @@ _GOOD_ROW = "0.1,2,5,0.25,0.5,2,0.4"
 
 
 def test_read_sweep_csv_short_row_names_line():
-    text = f"{SWEEP_CSV_HEADER}\n{_GOOD_ROW}\n0.1,2,5,0.25,0.5\n"
-    with pytest.raises(ValueError, match=r"^line 3: expected 7 cells, got 5$"):
-        read_sweep_csv(io.StringIO(text))
+    # a quoted cell spanning lines 2 and 3 puts the short row on line 4,
+    # numbered as the dataset loader numbers it
+    for first, line in ((_GOOD_ROW, 3), ('"0.1\n"' + _GOOD_ROW[3:], 4)):
+        text = f"{SWEEP_CSV_HEADER}\n{first}\n0.1,2,5,0.25,0.5\n"
+        with pytest.raises(ValueError,
+                           match=f"^line {line}: expected 7 cells, got 5$"):
+            read_sweep_csv(io.StringIO(text))
 
 
 def test_read_sweep_csv_non_numeric_cell_names_line():
