@@ -75,11 +75,16 @@ def unpack_columns(words: np.ndarray, n: int) -> np.ndarray:
 _COOCCURRENCE_BLOCK_BYTES = 1 << 18  # bytes of AND-ed words per popcount call
 
 
-def cooccurrence(words: np.ndarray) -> np.ndarray:
+def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """(m, m) int64 joint true-counts of m bit-packed columns, an (m, W)
     uint64 array laid out as ``pack_columns`` makes it, padding bits zero:
     entry (i, j) is the number of rows where columns i and j are both
     true, so the diagonal holds the column sums.
+
+    With ``starts``, the ascending word offsets at which S segments of at
+    least one word each begin (the first 0), the result is an (S, m, m)
+    stack holding one such matrix per segment: the counts of several row
+    sets, each packed from a word boundary, from one pass over the words.
 
     A popcount over the words: exact for any n and single threaded.  Each
     popcount call counts a block of rows of the upper triangle at once, as
@@ -87,12 +92,19 @@ def cooccurrence(words: np.ndarray) -> np.ndarray:
     mirrored below the diagonal: a small matrix takes one call, a large
     one about a row per call."""
     m = len(words)
-    g = np.empty((m, m), dtype=np.int64)
+    g = np.empty((m, m) if starts is None else (len(starts), m, m), dtype=np.int64)
     step = max(1, _COOCCURRENCE_BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
     for i in range(0, m, step):
         j = i + step
-        g[i:j, i:] = np.bitwise_count(words[i:j, None] & words[None, i:]).sum(axis=2)
-        g[i:, i:j] = g[i:j, i:].T
+        counts = np.bitwise_count(words[i:j, None] & words[None, i:])
+        if starts is None:
+            g[i:j, i:] = counts.sum(axis=2)
+            g[i:, i:j] = g[i:j, i:].T
+            continue
+        if len(starts) < words.shape[1]:  # some segment spans several words
+            counts = np.add.reduceat(counts, starts, axis=2, dtype=np.int64)
+        g[:, i:j, i:] = np.moveaxis(counts, 2, 0)
+        g[:, i:, i:j] = g[:, i:j, i:].transpose(0, 2, 1)
     return g
 
 

@@ -4,6 +4,7 @@ each root-to-leaf path."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from .dataset import Dataset
 from .metrics import FeatureSet
-from .stats import cooccurrence, pack_columns
+from .stats import cooccurrence
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class TreeNode:
         return self.split_feature is None
 
 
+_TREE_BATCH_BYTES = 1 << 21  # bytes of split-scoring temporaries per batch
+
+
 def build_clustering_tree(
     d: Dataset, fs: FeatureSet, cfg: UfringeConfig
 ) -> TreeNode:
@@ -50,67 +54,108 @@ def build_clustering_tree(
     distance of its rows to their centroid, which for Boolean vectors is
     sum over features of p(1-p), p the share of rows where a feature holds.
 
-    Each node below ``max_depth`` with positive variance scores every
-    split at once from the co-occurrence counts G of its rows: splitting
-    on f, the true child's column sums are G[f] and the false child's are
-    diag(G) - G[f].  The split minimizing the size-weighted children
-    variance wins, scanning features in index order and replacing the
-    best only when beaten by more than 1e-12, so near-ties go to the
-    lowest index; the node splits only when that lowers its variance by
-    more than 1e-12 and both children hold at least ``min_leaf`` rows."""
-    matrix = fs.extensions
+    A node can split only below ``max_depth``, with positive variance and
+    at least ``2 * min_leaf`` rows; any other node is a leaf at once.  The
+    tree grows breadth first from a queue of nodes that can split, taken a
+    batch at a time, as many nodes as keep the batch's scoring
+    temporaries within a fixed byte budget.  Each node's rows are packed
+    from a word boundary, and one segmented popcount gives the
+    co-occurrence counts G of every node in the batch.  Splitting on f, the
+    true child's column sums are G[f] and the false child's are
+    diag(G) - G[f], so every split of every node in the batch is scored at
+    once.  The split minimizing the size-weighted children variance wins,
+    scanning features in index order and replacing the best only when
+    beaten by more than 1e-12, so near-ties go to the lowest index; the
+    node splits only when that lowers its variance by more than 1e-12 and
+    both children hold at least ``min_leaf`` rows.  Child rows keep their
+    ascending order."""
+    ext = fs.extensions.T  # (m, n): one row of n bools per feature
+    node_bytes = 4 * 8 * fs.m * fs.m  # G, g[ok] and two float buffers
 
     def variance(sums: np.ndarray, size) -> np.ndarray:
         p = sums / size
-        return (p * (1.0 - p)).sum(axis=-1)
+        q = 1.0 - p
+        q *= p  # p * (1 - p): a product's bits do not depend on operand order
+        return q.sum(axis=-1)
 
-    def grow(rows: np.ndarray, depth: int, var: float) -> TreeNode:
-        node = TreeNode(rows=rows, variance=var)
-        if depth >= cfg.max_depth or var <= 0.0:
-            return node
-        g = cooccurrence(pack_columns(matrix[rows]))
-        n_true = np.diagonal(g)
-        n_false = rows.size - n_true
-        (ok,) = np.nonzero((n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf))
-        var_true = variance(g[ok], n_true[ok, None])
-        var_false = variance(n_true - g[ok], n_false[ok, None])
-        scores = ((n_true[ok] * var_true + n_false[ok] * var_false) / rows.size).tolist()
-        best = 0
-        for i, score in enumerate(scores):
-            if score < scores[best] - 1e-12:
-                best = i
-        if not scores or scores[best] >= var - 1e-12:
-            return node  # no strict variance reduction available
-        mask = matrix[rows, ok[best]]
-        node.split_feature = int(ok[best])
-        node.true_child = grow(rows[mask], depth + 1, float(var_true[best]))
-        node.false_child = grow(rows[~mask], depth + 1, float(var_false[best]))
+    queue: deque[tuple[TreeNode, int]] = deque()
+
+    def add(node: TreeNode, depth: int) -> TreeNode:
+        if (depth < cfg.max_depth and node.variance > 0.0
+                and node.rows.size >= 2 * cfg.min_leaf):
+            queue.append((node, depth))
         return node
 
-    return grow(np.arange(d.n), 0, float(variance(matrix.sum(axis=0), d.n)))
+    root = add(TreeNode(np.arange(d.n), float(variance(ext.sum(axis=1), d.n))), 0)
+    while queue:
+        batch = [queue.popleft()]
+        while queue and (len(batch) + 1) * node_bytes <= _TREE_BATCH_BYTES:
+            batch.append(queue.popleft())
+        sizes = np.array([node.rows.size for node, _ in batch])
+        nwords = -(-sizes // 64)
+        starts = np.cumsum(nwords) - nwords
+        # row r of a node goes to bit 64 * (its first word) + r
+        shift = np.repeat(64 * starts - (np.cumsum(sizes) - sizes), sizes)
+        bits = np.zeros((fs.m, 64 * int(nwords.sum())), dtype=bool)
+        bits[:, np.arange(shift.size) + shift] = ext[
+            :, np.concatenate([node.rows for node, _ in batch])]
+        # packed along the rows: pack_columns' word layout, with no
+        # transposed copy; the bools go before the kernel's temporaries
+        words = np.packbits(bits, axis=1).view(np.uint64)
+        del bits
+        g = cooccurrence(words, starts)
+        n_true = np.diagonal(g, axis1=1, axis2=2).copy()
+        n_false = sizes[:, None] - n_true
+        ok = (n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf)
+        at, _ = np.nonzero(ok)  # the node of each allowed split
+        sums = g[ok]  # true children's column sums, one row per split
+        del g  # the stack goes before the float buffers
+        nt, nf = n_true[ok], n_false[ok]
+        vt = variance(sums, nt[:, None])
+        vf = variance(np.subtract(n_true[at], sums, out=sums), nf[:, None])
+        scores = np.full(ok.shape, np.inf)  # inf: no allowed split on f
+        scores[ok] = (nt * vt + nf * vf) / sizes[at]
+        var_true, var_false = np.zeros(ok.shape), np.zeros(ok.shape)
+        var_true[ok], var_false[ok] = vt, vf
+        for i, row in enumerate(scores.tolist()):
+            f = 0
+            for j, score in enumerate(row):
+                if score < row[f] - 1e-12:
+                    f = j
+            node, depth = batch[i]
+            if row[f] >= node.variance - 1e-12:
+                continue  # no strict variance reduction available
+            mask = ext[f, node.rows]
+            node.split_feature = f
+            node.true_child = add(
+                TreeNode(node.rows[mask], float(var_true[i, f])), depth + 1)
+            node.false_child = add(
+                TreeNode(node.rows[~mask], float(var_false[i, f])), depth + 1)
+    return root
 
 
 def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureExpr]:
     """Conjunction of the last two edge-literals of every root-to-leaf
-    path of length >= 2, canonicalized, in path order.  Repeats are kept:
-    ``FeatureSet.extend`` keeps the first occurrence of each key."""
+    path of length >= 2, canonicalized, in path order (true child first).
+    Repeats are kept: ``FeatureSet.extend`` keeps the first occurrence of
+    each key.  A depth-first walk with an explicit stack, so a tree of
+    any depth takes no recursion."""
     features: list[ex.FeatureExpr] = []
 
     def literal(feature_index: int, branch: bool) -> ex.FeatureExpr:
         member = fs.members[feature_index]
         return member if branch else ex.Not(member)
 
-    def walk(node: TreeNode, path: list[tuple[int, bool]]) -> None:
-        if node.is_leaf:
-            if len(path) >= 2:
-                (f1, b1), (f2, b2) = path[-2], path[-1]
-                feat = ex.canonicalize(ex.And(literal(f1, b1), literal(f2, b2)))
-                features.append(feat)
-            return
-        walk(node.true_child, path + [(node.split_feature, True)])
-        walk(node.false_child, path + [(node.split_feature, False)])
-
-    walk(tree, [])
+    # (node, the path's second-last edge, its last edge); an edge is
+    # (feature index, branch taken)
+    stack = [(tree, None, None)]
+    while stack:
+        node, prev, last = stack.pop()
+        if not node.is_leaf:
+            stack.append((node.false_child, last, (node.split_feature, False)))
+            stack.append((node.true_child, last, (node.split_feature, True)))
+        elif prev is not None:
+            features.append(ex.canonicalize(ex.And(literal(*prev), literal(*last))))
     return features
 
 

@@ -117,6 +117,60 @@ def test_cooccurrence_one_row_per_block():
     assert np.array_equal(cooccurrence(pack_columns(x)), want)
 
 
+def _segmented(x: np.ndarray, sizes):
+    """Words of the row segments of x, each packed from a word boundary,
+    and the word offsets at which the segments start."""
+    bounds = np.cumsum([0, *sizes])
+    parts = [pack_columns(x[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    widths = [p.shape[1] for p in parts]
+    return np.hstack(parts), np.cumsum([0, *widths[:-1]]), bounds
+
+
+@pytest.mark.parametrize("sizes", [[1], [63], [64], [65], [130],
+                                   [1, 63, 64, 65, 130], [130, 1, 65, 64, 63]])
+def test_segmented_cooccurrence_matches_each_segment(sizes):
+    x = np.random.default_rng(7).random((sum(sizes), 9)) < 0.4
+    words, starts, bounds = _segmented(x, sizes)
+    g = cooccurrence(words, starts)
+    assert g.dtype == np.int64 and g.shape == (len(sizes), 9, 9)
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert np.array_equal(g[s], cooccurrence(pack_columns(x[a:b])))
+        assert np.array_equal(g[s], _matmul_counts(x[a:b]))
+
+
+def test_single_word_segments_equal_the_reduce_path():
+    # segments of at most 64 rows skip the reduce; a trailing segment of
+    # two words makes the same call reduce every segment
+    sizes = [1, 2, 63, 64, 5, 64]
+    x = np.random.default_rng(8).random((sum(sizes) + 100, 12)) < 0.5
+    words, starts, _ = _segmented(x[: sum(sizes)], sizes)
+    assert len(starts) == words.shape[1]
+    longer, longer_starts, _ = _segmented(x, [*sizes, 100])
+    assert len(longer_starts) < longer.shape[1]
+    assert np.array_equal(cooccurrence(words, starts),
+                          cooccurrence(longer, longer_starts)[: len(sizes)])
+
+
+@given(
+    st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    st.integers(1, 20),
+    st.sampled_from([0, 64, 200, 1000, stats._COOCCURRENCE_BLOCK_BYTES]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_segmented_cooccurrence_matches_matmul(sizes, m, budget, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((sum(sizes), m)) < rng.random(m)
+    words, starts, bounds = _segmented(x, sizes)
+    with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
+        g = cooccurrence(words, starts)
+        whole = cooccurrence(pack_columns(x))
+    for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        assert np.array_equal(g[s], _matmul_counts(x[a:b]))
+    # without segments the kernel counts all rows as one, as before
+    assert whole.shape == (m, m) and np.array_equal(whole, _matmul_counts(x))
+
+
 # -- pearson r ---------------------------------------------------------------
 
 

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boolfc import ufringe
 from boolfc.dataset import Dataset
-from boolfc.expr import canonical_text, evaluate, parse
+from boolfc.expr import And, Not, canonical_text, canonicalize, evaluate, parse
 from boolfc.metrics import FeatureSet
+from boolfc.stats import cooccurrence
 from boolfc.ufringe import (
     TreeNode,
     UfringeConfig,
@@ -202,8 +204,8 @@ def test_tree_matches_per_feature_loop(d, min_leaf, max_depth):
                      loop_clustering_tree(d, fs, cfg))
 
 
-def test_tree_matches_per_feature_loop_on_constructed_features():
-    # a second round's feature set: conjunctions of correlated primitives
+def constructed_feature_case():
+    """A second round's feature set: conjunctions of correlated primitives."""
     rng = np.random.default_rng(4)
     base = rng.random(400) < 0.4
     d = dataset_from_columns({
@@ -216,8 +218,71 @@ def test_tree_matches_per_feature_loop_on_constructed_features():
     cfg = UfringeConfig()
     fs = fs.extend(extract_fringe_features(build_clustering_tree(d, fs, cfg), fs))
     assert fs.m > d.k
+    return d, fs, cfg
+
+
+def test_tree_matches_per_feature_loop_on_constructed_features():
+    d, fs, cfg = constructed_feature_case()
     assert_same_tree(build_clustering_tree(d, fs, cfg),
                      loop_clustering_tree(d, fs, cfg))
+
+
+# a budget of 0 scores one node per batch, a huge one the whole queue
+BATCH_BUDGETS = pytest.mark.parametrize("budget", [0, 1 << 60], ids=["one", "all"])
+
+
+@BATCH_BUDGETS
+@given(d=tie_heavy_datasets(), min_leaf=st.integers(1, 5), max_depth=st.integers(2, 7))
+@settings(max_examples=150, deadline=None)
+def test_tree_matches_per_feature_loop_at_batch_bounds(budget, d, min_leaf, max_depth):
+    fs = FeatureSet.from_primitives(d)
+    cfg = UfringeConfig(min_leaf=min_leaf, max_depth=max_depth)
+    with mock.patch.object(ufringe, "_TREE_BATCH_BYTES", budget):
+        got = build_clustering_tree(d, fs, cfg)
+    assert_same_tree(got, loop_clustering_tree(d, fs, cfg))
+
+
+@BATCH_BUDGETS
+def test_constructed_features_tree_at_batch_bounds(budget):
+    d, fs, cfg = constructed_feature_case()
+    with mock.patch.object(ufringe, "_TREE_BATCH_BYTES", budget):
+        got = build_clustering_tree(d, fs, cfg)
+    assert_same_tree(got, loop_clustering_tree(d, fs, cfg))
+
+
+def test_small_nodes_never_reach_the_kernel():
+    # column "one" holds everywhere, so each segment's G[one, one] is the
+    # number of rows the kernel counted for that node
+    rng = np.random.default_rng(1)
+    cols = {"one": np.ones(200, bool)}
+    cols.update((f"f{j}", rng.random(200) < 0.3) for j in range(6))
+    d = dataset_from_columns(cols)
+    fs = FeatureSet.from_primitives(d)
+    cfg = UfringeConfig(min_leaf=8, max_depth=8)
+    counted = []  # rows per segment the kernel counted
+
+    def kernel(words, starts=None):
+        g = cooccurrence(words, starts)
+        counted.extend(g[:, 0, 0].tolist())
+        return g
+
+    with mock.patch.object(ufringe, "cooccurrence", kernel):
+        tree = build_clustering_tree(d, fs, cfg)
+    want = loop_clustering_tree(d, fs, cfg)
+    assert_same_tree(tree, want)
+    stack, scored, small = [(want, 0)], [], 0
+    while stack:
+        node, depth = stack.pop()
+        if depth < cfg.max_depth and node.variance > 0.0:
+            if node.rows.size >= 2 * cfg.min_leaf:
+                scored.append(node.rows.size)
+            else:
+                small += 1
+        if not node.is_leaf:
+            stack += [(node.true_child, depth + 1), (node.false_child, depth + 1)]
+    assert small > 0  # some node is a leaf only because it is small
+    assert min(counted) >= 2 * cfg.min_leaf
+    assert sorted(counted) == sorted(scored)
 
 
 def test_fringe_complete_depth2_tree():
@@ -273,6 +338,51 @@ def test_fringe_mixed_depth_path():
     feats = {canonical_text(f) for f in extract_fringe_features(tree, fs)}
     assert canonical_text(parse("!x & y")) in feats
     assert canonical_text(parse("!x & !y")) in feats
+
+
+def recursive_fringe(tree, fs):
+    """Reference: the fringe by recursion over the full path."""
+    out = []
+
+    def walk(node, path):
+        if node.is_leaf:
+            if len(path) >= 2:
+                lits = [fs.members[f] if b else Not(fs.members[f]) for f, b in path[-2:]]
+                out.append(canonicalize(And(*lits)))
+            return
+        walk(node.true_child, path + [(node.split_feature, True)])
+        walk(node.false_child, path + [(node.split_feature, False)])
+
+    walk(tree, [])
+    return out
+
+
+def test_fringe_order_matches_recursive_walk():
+    rng = np.random.default_rng(6)
+    d = Dataset([f"f{j}" for j in range(8)], rng.random((300, 8)) < 0.4)
+    fs = FeatureSet.from_primitives(d)
+    tree = build_clustering_tree(d, fs, UfringeConfig(min_leaf=2))
+    got = [canonical_text(f) for f in extract_fringe_features(tree, fs)]
+    want = [canonical_text(f) for f in recursive_fringe(tree, fs)]
+    assert len(got) > 50 and got == want
+
+
+def test_fringe_of_a_chain_past_the_recursion_limit():
+    # node i splits on x or y in turn; its true child is a leaf and its
+    # false child node i + 1, down to a leaf at depth 3000
+    d = dataset_from_columns({"x": [1, 0, 1, 0], "y": [1, 1, 0, 0]})
+    fs = FeatureSet.from_primitives(d)
+    depth = 3000
+    rows = np.arange(4)
+    node = TreeNode(rows, 0.0)
+    for i in reversed(range(depth)):
+        node = TreeNode(rows, 0.5, split_feature=i % 2,
+                        true_child=TreeNode(rows, 0.0), false_child=node)
+    got = [canonical_text(f) for f in extract_fringe_features(node, fs)]
+    names = ["x", "y"]
+    want = [f"!{names[(i - 1) % 2]} & {names[i % 2]}" for i in range(1, depth)]
+    want.append("!x & !y")
+    assert got == [canonical_text(parse(w)) for w in want]
 
 
 def test_run_no_fringe_yields_primitives():
