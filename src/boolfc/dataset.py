@@ -226,18 +226,16 @@ def dump_dataset(d: Dataset, out: TextIO) -> None:
     """Write the header, then the rows in blocks of about
     ``_DUMP_BLOCK_BYTES``, each block unpacked from the dataset's words
     and rendered as one byte buffer.  A block is a multiple of 8 rows, so
-    it starts on a byte of every packed column."""
+    it starts on a row that ``unpack_columns`` can start from."""
     out.write(",".join(d.feature_names) + "\n")
     n, k = d.n, d.k
     rows = max(8, _DUMP_BLOCK_BYTES // (2 * k) // 8 * 8)
     buf = np.full((min(rows, n), 2 * k), ord(","), dtype=np.uint8)
     buf[:, -1] = ord("\n")
-    packed = d.words.view(np.uint8)  # (k, bytes): row t is in byte t // 8
     for top in range(0, n, rows):
         count = min(rows, n - top)
-        block = packed[:, top // 8:(top + count + 7) // 8]
-        bits = np.unpackbits(block, axis=1, count=count)  # (k, count)
-        np.add(bits.T, ord("0"), out=buf[:count, 0::2])
+        bits = unpack_columns(d.words, count, top).T  # (k, count): the add runs contiguous
+        buf[:count, 0::2] = np.add(bits, ord("0"), dtype=np.uint8).T
         out.write(buf[:count].tobytes().decode("ascii"))
 
 

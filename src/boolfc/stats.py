@@ -2,7 +2,9 @@
 
 Pearson r on 2x2 tables, the n*r^2 chi-square identity, normal
 quantiles, risk-derived correlation thresholds, the expected-frequency
-rule for candidate pruning, and the Kendall rank test.
+rule for candidate pruning, and the Kendall rank test.  This module alone
+converts between Boolean columns and 64-bit words, and it holds the
+popcount kernel that counts co-occurrences on the words.
 """
 
 from __future__ import annotations
@@ -66,10 +68,26 @@ def pack_columns(x: np.ndarray) -> np.ndarray:
     return words
 
 
-def unpack_columns(words: np.ndarray, n: int) -> np.ndarray:
-    """(n, m) bool matrix of the m columns in ``words``, the inverse of
-    ``pack_columns``; a transposed view of one (m, n) array."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=n).view(bool).T
+def unpack_columns(words: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """(n, m) bool matrix of rows ``start`` to ``start + n`` of the m
+    columns in ``words``, ``start`` a multiple of 8: the inverse of
+    ``pack_columns``, a transposed view of one (m, n) array."""
+    return np.unpackbits(words.view(np.uint8)[:, start // 8:], axis=1, count=n).view(bool).T
+
+
+def pack_segments(columns: np.ndarray, row_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The words of S non-empty sets of rows of an (n, m) Boolean matrix,
+    each set packed from a word boundary in ``pack_columns``' layout, and
+    the word offsets at which the sets start: ``cooccurrence``'s
+    ``words, starts``."""
+    sizes = np.array([len(rows) for rows in row_sets])
+    nwords = -(-sizes // 64)
+    starts = np.cumsum(nwords) - nwords
+    # row r of a set goes to row 64 * (its first word) + r
+    shift = np.repeat(64 * starts - (np.cumsum(sizes) - sizes), sizes)
+    bits = np.zeros((columns.shape[1], 64 * int(nwords.sum())), dtype=bool)
+    bits[:, np.arange(shift.size) + shift] = columns.T[:, np.concatenate(row_sets)]
+    return pack_columns(bits.T), starts  # bits.T packs with no transposed copy
 
 
 _COOCCURRENCE_BLOCK_BYTES = 1 << 18  # bytes of AND-ed words per popcount call

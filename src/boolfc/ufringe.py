@@ -13,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from .dataset import Dataset
 from .metrics import FeatureSet
-from .stats import cooccurrence
+from .stats import cooccurrence, pack_segments
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class TreeNode:
         return self.split_feature is None
 
 
-_TREE_BATCH_BYTES = 1 << 21  # bytes of split-scoring temporaries per batch
+_TREE_BATCH_BYTES = 1 << 21  # split-scoring bytes per batch; one node may exceed it
 
 
 def build_clustering_tree(
@@ -57,20 +57,21 @@ def build_clustering_tree(
     A node can split only below ``max_depth``, with positive variance and
     at least ``2 * min_leaf`` rows; any other node is a leaf at once.  The
     tree grows breadth first from a queue of nodes that can split, taken a
-    batch at a time, as many nodes as keep the batch's scoring
-    temporaries within a fixed byte budget.  Each node's rows are packed
-    from a word boundary, and one segmented popcount gives the
-    co-occurrence counts G of every node in the batch.  Splitting on f, the
-    true child's column sums are G[f] and the false child's are
-    diag(G) - G[f], so every split of every node in the batch is scored at
-    once.  The split minimizing the size-weighted children variance wins,
-    scanning features in index order and replacing the best only when
-    beaten by more than 1e-12, so near-ties go to the lowest index; the
-    node splits only when that lowers its variance by more than 1e-12 and
-    both children hold at least ``min_leaf`` rows.  Child rows keep their
-    ascending order."""
-    ext = fs.extensions.T  # (m, n): one row of n bools per feature
-    node_bytes = 4 * 8 * fs.m * fs.m  # G, g[ok] and two float buffers
+    batch at a time: a node's scoring temporaries take 32 * m^2 bytes, and
+    a batch holds as many nodes as fit in ``_TREE_BATCH_BYTES``, but at
+    least one, so above m = 256 every batch is one node over budget.  One
+    segmented popcount over the batch's rows, each node's packed from a
+    word boundary, gives the co-occurrence counts G of every node in the
+    batch.  Splitting on f, the true child's column sums are G[f] and the
+    false child's are diag(G) - G[f], so every allowed split (both children
+    with at least ``min_leaf`` rows) of every node in the batch is scored
+    at once.  The split minimizing the size-weighted children variance
+    wins, scanning a node's allowed splits in feature order and replacing
+    the best only when beaten by more than 1e-12, so near-ties go to the
+    lowest index; the node splits only when that lowers its variance by
+    more than 1e-12.  Child rows keep their ascending order."""
+    ext = fs.extensions  # (n, m)
+    take = max(1, _TREE_BATCH_BYTES // (4 * 8 * fs.m * fs.m))  # G, g[ok], two floats
 
     def variance(sums: np.ndarray, size) -> np.ndarray:
         p = sums / size
@@ -86,51 +87,35 @@ def build_clustering_tree(
             queue.append((node, depth))
         return node
 
-    root = add(TreeNode(np.arange(d.n), float(variance(ext.sum(axis=1), d.n))), 0)
+    root = add(TreeNode(np.arange(d.n), float(variance(ext.sum(axis=0), d.n))), 0)
     while queue:
-        batch = [queue.popleft()]
-        while queue and (len(batch) + 1) * node_bytes <= _TREE_BATCH_BYTES:
-            batch.append(queue.popleft())
+        batch = [queue.popleft() for _ in range(min(take, len(queue)))]
         sizes = np.array([node.rows.size for node, _ in batch])
-        nwords = -(-sizes // 64)
-        starts = np.cumsum(nwords) - nwords
-        # row r of a node goes to bit 64 * (its first word) + r
-        shift = np.repeat(64 * starts - (np.cumsum(sizes) - sizes), sizes)
-        bits = np.zeros((fs.m, 64 * int(nwords.sum())), dtype=bool)
-        bits[:, np.arange(shift.size) + shift] = ext[
-            :, np.concatenate([node.rows for node, _ in batch])]
-        # packed along the rows: pack_columns' word layout, with no
-        # transposed copy; the bools go before the kernel's temporaries
-        words = np.packbits(bits, axis=1).view(np.uint64)
-        del bits
-        g = cooccurrence(words, starts)
+        g = cooccurrence(*pack_segments(ext, [node.rows for node, _ in batch]))
         n_true = np.diagonal(g, axis1=1, axis2=2).copy()
         n_false = sizes[:, None] - n_true
         ok = (n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf)
-        at, _ = np.nonzero(ok)  # the node of each allowed split
+        at, feature = np.nonzero(ok)  # each allowed split's node and feature
         sums = g[ok]  # true children's column sums, one row per split
         del g  # the stack goes before the float buffers
         nt, nf = n_true[ok], n_false[ok]
         vt = variance(sums, nt[:, None])
         vf = variance(np.subtract(n_true[at], sums, out=sums), nf[:, None])
-        scores = np.full(ok.shape, np.inf)  # inf: no allowed split on f
-        scores[ok] = (nt * vt + nf * vf) / sizes[at]
-        var_true, var_false = np.zeros(ok.shape), np.zeros(ok.shape)
-        var_true[ok], var_false[ok] = vt, vf
-        for i, row in enumerate(scores.tolist()):
-            f = 0
-            for j, score in enumerate(row):
-                if score < row[f] - 1e-12:
-                    f = j
-            node, depth = batch[i]
-            if row[f] >= node.variance - 1e-12:
-                continue  # no strict variance reduction available
-            mask = ext[f, node.rows]
-            node.split_feature = f
-            node.true_child = add(
-                TreeNode(node.rows[mask], float(var_true[i, f])), depth + 1)
-            node.false_child = add(
-                TreeNode(node.rows[~mask], float(var_false[i, f])), depth + 1)
+        scores = ((nt * vt + nf * vf) / sizes[at]).tolist()
+        feature, vt, vf = feature.tolist(), vt.tolist(), vf.tolist()
+        end = 0
+        for (node, depth), count in zip(batch, ok.sum(axis=1).tolist()):
+            begin, end = end, end + count  # the node's allowed splits
+            best = begin
+            for s in range(begin + 1, end):
+                if scores[s] < scores[best] - 1e-12:
+                    best = s
+            if begin == end or scores[best] >= node.variance - 1e-12:
+                continue  # no allowed split, or none strictly lowers the variance
+            mask = ext[node.rows, feature[best]]
+            node.split_feature = feature[best]
+            node.true_child = add(TreeNode(node.rows[mask], vt[best]), depth + 1)
+            node.false_child = add(TreeNode(node.rows[~mask], vf[best]), depth + 1)
     return root
 
 

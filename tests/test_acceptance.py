@@ -1,4 +1,5 @@
-"""Acceptance gate: ten end-to-end criteria, one pass/fail line each.
+"""Acceptance gate: end-to-end criteria, one pass/fail line each.
+Criterion 11 is reserved for planted concepts (ROADMAP item 4).
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.
@@ -31,6 +32,7 @@ from boolfc.ufc import (
     RiskMode,
     UfcConfig,
     construct_new_features,
+    search_correlated_pairs,
     ufc_run,
 )
 from boolfc.ufringe import UfringeConfig, ufringe_run
@@ -279,9 +281,24 @@ def test_criterion_6_determinism(tmp_path):
             assert cli_main(["noise", csv, "--pcts", "0,0.1",
                              "--replicates", "2", "--seed", "9",
                              "--out", noise_out]) == 0
+            fringe = str(tmp_path / f"f{tag}")
+            assert cli_main(["construct", csv, "--algorithm", "ufringe",
+                             "--out", fringe]) == 0
+            features = prefix + ".features.txt"
+            transform_out = str(tmp_path / f"t{tag}.csv")
+            assert cli_main(["transform", csv, "--features", features,
+                             "--out", transform_out]) == 0
+            metrics_out = str(tmp_path / f"m{tag}.json")
+            assert cli_main(["metrics", csv, "--features", features,
+                             "--out", metrics_out]) == 0
+            front_out = str(tmp_path / f"p{tag}.csv")
+            closest_out = str(tmp_path / f"p{tag}.json")
+            assert cli_main(["pareto", "--in", sweep_out, "--front-out", front_out,
+                             "--closest-out", closest_out]) == 0
             blobs = []
-            for p in (prefix + ".features.txt", prefix + ".run.json",
-                      sweep_out, noise_out):
+            for p in (features, prefix + ".run.json", sweep_out, noise_out,
+                      fringe + ".features.txt", fringe + ".run.json",
+                      transform_out, metrics_out, front_out, closest_out):
                 with open(p, "rb") as fh:
                     blobs.append(fh.read())
             outputs.append(blobs)
@@ -395,3 +412,32 @@ def test_criterion_10_noise_shape():
         assert mean_m == sorted(mean_m, reverse=True)  # m shrinks with noise
         assert mean_m[-1] <= d.k + 0.5  # back to the primitives
         assert abs(mean_m[-2] - mean_m[-1]) <= 1.5  # stabilized by 20%
+
+
+# -- 12. false-candidate rate on null data ------------------------------------------
+
+
+def null_dataset(seed: int, n: int, p: float, k: int = 40) -> Dataset:
+    """k independent Bernoulli(p) columns: no pair is correlated."""
+    x = np.random.default_rng(seed).random((n, k)) < p
+    return Dataset([f"f{j}" for j in range(k)], x)
+
+
+def test_criterion_12_null_false_candidate_rate():
+    with criterion(12):
+        # every candidate on null data is a false one; risk mode admits a
+        # pair when r > u_{1-alpha} / sqrt(n), so about an alpha share should
+        # pass.  The one-sided normal approximation holds for balanced
+        # marginals; with p = 0.1 the far tail admits up to twice alpha
+        # (README), so only p >= 0.3 and alpha >= 0.01 are asserted.
+        seeds, k = range(40), 40
+        pairs = len(seeds) * k * (k - 1) // 2
+        for n, p in ((500, 0.3), (2000, 0.5), (2000, 0.1)):
+            sets = [FeatureSet.from_primitives(null_dataset(s, n, p, k)) for s in seeds]
+            for alpha in (0.05, 0.01, 0.001):
+                lam = lambda_from_risk(alpha, n)
+                found = sum(len(search_correlated_pairs(fs, lam, pruning=True)) for fs in sets)
+                print(f"  n={n} p={p} alpha={alpha}: rate/alpha {found / pairs / alpha:.2f}")
+                if p >= 0.3 and alpha >= 0.01:  # within 3 binomial sd of pairs * alpha
+                    sd = math.sqrt(pairs * alpha * (1 - alpha))
+                    assert abs(found - pairs * alpha) <= 3 * sd

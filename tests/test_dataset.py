@@ -14,7 +14,7 @@ from boolfc.dataset import (
     load_dataset,
     unique_count,
 )
-from boolfc.stats import pack_columns
+from boolfc.stats import pack_columns, unpack_columns
 
 
 def load(text: str) -> Dataset:
@@ -415,6 +415,10 @@ def test_dataset_from_words_dumps_and_reads_as_its_matrix(n):
     per_row_dump(Dataset(names, matrix), want)
     assert got.getvalue() == want.getvalue()
     assert np.array_equal(d.matrix, matrix) and not d.matrix.flags.writeable
+    for start in [s for s in (0, 8, 64) if s <= n]:
+        for stop in (min(start + 9, n), n):  # nine rows, and all the rest
+            block = unpack_columns(d.words, stop - start, start)
+            assert np.array_equal(block, matrix[start:stop])
     assert d == Dataset(names, matrix)
     with pytest.raises(DatasetError, match="word array shape"):
         Dataset.from_words(names, pack_columns(matrix), n + 64)

@@ -21,6 +21,7 @@ from boolfc.stats import (
     lambda_from_risk,
     normal_quantile,
     pack_columns,
+    pack_segments,
     pearson_r,
     phi_coefficients,
 )
@@ -131,6 +132,12 @@ def _segmented(x: np.ndarray, sizes):
 def test_segmented_cooccurrence_matches_each_segment(sizes):
     x = np.random.default_rng(7).random((sum(sizes), 9)) < 0.4
     words, starts, bounds = _segmented(x, sizes)
+    # pack_segments gathers each segment's rows from anywhere in its input
+    perm = np.random.default_rng(8).permutation(len(x))
+    shuffled = np.empty_like(x)
+    shuffled[perm] = x  # row perm[r] of shuffled is row r of x
+    packed, packed_starts = pack_segments(shuffled, np.split(perm, bounds[1:-1]))
+    assert np.array_equal(packed, words) and np.array_equal(packed_starts, starts)
     g = cooccurrence(words, starts)
     assert g.dtype == np.int64 and g.shape == (len(sizes), 9, 9)
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -162,6 +169,8 @@ def test_segmented_cooccurrence_matches_matmul(sizes, m, budget, seed):
     rng = np.random.default_rng(seed)
     x = rng.random((sum(sizes), m)) < rng.random(m)
     words, starts, bounds = _segmented(x, sizes)
+    packed, packed_starts = pack_segments(x, np.split(np.arange(len(x)), bounds[1:-1]))
+    assert np.array_equal(packed, words) and np.array_equal(packed_starts, starts)
     with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
         g = cooccurrence(words, starts)
         whole = cooccurrence(pack_columns(x))

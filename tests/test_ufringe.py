@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolfc import ufringe
@@ -195,7 +195,19 @@ def tie_heavy_datasets(draw):
     return Dataset([f"f{i}" for i in range(len(cols))], np.column_stack(cols))
 
 
+def unsplittable_node_case():
+    """Feature 0 holds on 3 rows, fewer than ``min_leaf``, so no node may
+    split on it; and the third level holds a node with no allowed split
+    between two nodes with one."""
+    rng = np.random.default_rng(1)
+    x = rng.random((60, 5)) < rng.choice([0.1, 0.3, 0.5], 5)
+    x[:, 0] = np.arange(60) < 3
+    d = Dataset([f"f{j}" for j in range(5)], x)
+    return d, FeatureSet.from_primitives(d), UfringeConfig(min_leaf=5, max_depth=4)
+
+
 @given(tie_heavy_datasets(), st.integers(1, 5), st.integers(2, 7))
+@example(unsplittable_node_case()[0], 5, 4)
 @settings(max_examples=300, deadline=None)
 def test_tree_matches_per_feature_loop(d, min_leaf, max_depth):
     fs = FeatureSet.from_primitives(d)
@@ -225,6 +237,20 @@ def test_tree_matches_per_feature_loop_on_constructed_features():
     d, fs, cfg = constructed_feature_case()
     assert_same_tree(build_clustering_tree(d, fs, cfg),
                      loop_clustering_tree(d, fs, cfg))
+    d, fs, cfg = unsplittable_node_case()
+    tree = build_clustering_tree(d, fs, cfg)
+    assert_same_tree(tree, loop_clustering_tree(d, fs, cfg))
+    assert fs.supports()[0] < cfg.min_leaf
+    # the whole queue fits one batch, so the third level is one batch
+    level = [c for node in (tree.true_child, tree.false_child)
+             for c in (node.true_child, node.false_child)]
+    can_split = []
+    for node in level:
+        if node.variance > 0.0 and node.rows.size >= 2 * cfg.min_leaf:
+            n_true = fs.extensions[node.rows].sum(axis=0)
+            n_false = node.rows.size - n_true
+            can_split.append(bool(((n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf)).any()))
+    assert can_split == [True, False, True]
 
 
 # a budget of 0 scores one node per batch, a huge one the whole queue
@@ -233,6 +259,7 @@ BATCH_BUDGETS = pytest.mark.parametrize("budget", [0, 1 << 60], ids=["one", "all
 
 @BATCH_BUDGETS
 @given(d=tie_heavy_datasets(), min_leaf=st.integers(1, 5), max_depth=st.integers(2, 7))
+@example(d=unsplittable_node_case()[0], min_leaf=5, max_depth=4)
 @settings(max_examples=150, deadline=None)
 def test_tree_matches_per_feature_loop_at_batch_bounds(budget, d, min_leaf, max_depth):
     fs = FeatureSet.from_primitives(d)
