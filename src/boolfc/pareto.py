@@ -64,23 +64,16 @@ def sweep(
     return out
 
 
-def _dominates(p: Solution, q: Solution) -> bool:
-    return p.oi <= q.oi and p.c0 <= q.c0 and (p.oi < q.oi or p.c0 < q.c0)
-
-
 def pareto_front(sols: Sequence[Solution]) -> list[Solution]:
     """Non-dominated subset, sorted by OI ascending; coordinate duplicates
     collapse to the first in input order."""
+    # One pass in (OI, C0) order (Kung, Luccio and Preparata, 1975): a
+    # point is on the front exactly when its C0 is below every C0 before
+    # it.  The sort is stable, so the first of equal points is kept.
     front: list[Solution] = []
-    seen: set[tuple[float, float]] = set()
-    for s in sols:
-        if (s.oi, s.c0) in seen:
-            continue
-        if any(_dominates(other, s) for other in sols):
-            continue
-        seen.add((s.oi, s.c0))
-        front.append(s)
-    front.sort(key=lambda s: (s.oi, s.c0))
+    for s in sorted(sols, key=lambda s: (s.oi, s.c0)):
+        if not front or s.c0 < front[-1].c0:
+            front.append(s)
     return front
 
 
@@ -104,9 +97,16 @@ def write_sweep_csv(sols: Iterable[Solution], out: TextIO) -> None:
         )
 
 
+def _finite(name: str, cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {cell!r}")
+    return value
+
+
 def read_sweep_csv(stream: TextIO) -> list[Solution]:
-    """Parse a sweep CSV; a malformed row raises ValueError with its
-    1-based line number."""
+    """Parse a sweep CSV; a malformed row, or a non-finite real, raises
+    ValueError with its 1-based line number."""
     table = csv_table(stream, ValueError)
     _, header = next(table, (None, []))  # an empty file has no header
     if [h.strip() for h in header] != SWEEP_CSV_HEADER.split(","):
@@ -116,13 +116,13 @@ def read_sweep_csv(stream: TextIO) -> list[Solution]:
         try:
             out.append(
                 Solution(
-                    threshold=float(lam),
+                    threshold=_finite("lambda", lam),
                     limit_iter=int(limit_iter),
                     num_features=int(m),
-                    oi=float(oi),
-                    c0=float(c0),
-                    c1=float(c1),
-                    rms=float(rms_),
+                    oi=_finite("oi", oi),
+                    c0=_finite("c0", c0),
+                    c1=_finite("c1", c1),
+                    rms=_finite("rms", rms_),
                 )
             )
         except ValueError as err:

@@ -1,5 +1,4 @@
 """Acceptance gate: end-to-end criteria, one pass/fail line each.
-Criterion 11 is reserved for planted concepts (ROADMAP item 4).
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they pass.
@@ -412,6 +411,58 @@ def test_criterion_10_noise_shape():
         assert mean_m == sorted(mean_m, reverse=True)  # m shrinks with noise
         assert mean_m[-1] <= d.k + 0.5  # back to the primitives
         assert abs(mean_m[-2] - mean_m[-1]) <= 1.5  # stabilized by 20%
+
+
+# -- 11. planted concepts ----------------------------------------------------------
+
+
+def scene_dataset(seed: int, n: int = 3000, k: int = 24, scenes: int = 6):
+    """Rows drawn from planted conjunctive concepts, after PAPER.md's
+    ``sky & !building & panorama``.  Each scene's signature marks each of
+    the k objects present, absent or don't care (drawn with probabilities
+    0.15, 0.15 and 0.7), which makes the object true in a row of the scene
+    with p = 0.92, 0.08 or 0.3; each row belongs to one scene, drawn
+    uniformly.  Returns the dataset and each row's scene."""
+    rng = np.random.default_rng(seed)
+    signatures = rng.choice(3, size=(scenes, k), p=[0.15, 0.15, 0.7])
+    labels = rng.integers(scenes, size=n)
+    x = rng.random((n, k)) < np.array([0.92, 0.08, 0.3])[signatures][labels]
+    return Dataset([f"o{j}" for j in range(k)], x), labels
+
+
+def best_jaccard(fs: FeatureSet, labels: np.ndarray) -> float:
+    """Recovery of the planted scenes: the mean over scenes of the best
+    Jaccard index between one feature's extension and the scene's rows.
+    The measure is ours, not the paper's."""
+    ext = fs.extensions.astype(np.int64)
+    scene = (labels[:, None] == np.unique(labels)).astype(np.int64)
+    both = ext.T @ scene
+    either = ext.sum(axis=0)[:, None] + scene.sum(axis=0) - both
+    return float((both / np.maximum(either, 1)).max(axis=0).mean())
+
+
+def test_criterion_11_planted_concepts():
+    with criterion(11):
+        # the abstract's claim that constructed features catch hidden
+        # relations: uFRINGE, and uFC after one iteration at the risk
+        # lambda, each recover the scenes better than the primitives.  Over
+        # these seeds the margins were at least 0.069 and 0.101; the asserts
+        # keep about half as headroom.  Risk-mode uFC is printed, not
+        # asserted: it stops at the RMS minimum with about 120 features,
+        # and scores below the primitives on every seed (README).
+        alpha = 0.001
+        for seed in range(10):
+            d, labels = scene_dataset(seed)
+            lam = lambda_from_risk(alpha, d.n)
+            prim = best_jaccard(FeatureSet.from_primitives(d), labels)
+            fringe = best_jaccard(ufringe_run(d, UfringeConfig()), labels)
+            once = ufc_run(d, UfcConfig(FixedMode(lam, 1), candidate_pruning=True))
+            first = best_jaccard(once.features, labels)
+            risk = best_jaccard(ufc_run(d, UfcConfig(RiskMode(alpha))).features, labels)
+            print(f"  seed {seed}: primitives {prim:.3f}  uFRINGE {fringe:.3f}  "
+                  f"uFC after 1 {first:.3f}  risk-mode uFC {risk:.3f}")
+            assert fringe >= prim + 0.03
+            assert first >= prim + 0.05
 
 
 # -- 12. false-candidate rate on null data ------------------------------------------

@@ -164,7 +164,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
     ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
      "construct-run-json-is-dir", "transform-unknown-feature",
      "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell",
-     "sweep-lambda-step-0", "sweep-iters-max-0", "noise-no-fraction"],
+     "sweep-lambda-step-0", "sweep-iters-max-0", "noise-no-fraction",
+     "pareto-nan-cell"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
@@ -198,7 +199,9 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     else:
         rows = {"pareto-empty": "", "pareto-header-only": header,
                 "pareto-closest-dir-missing": header + "0.1,1,4,0.3,0,1,0.2\n",
-                "pareto-huge-cell": header + huge + ",1,4,0.3,0,1,0.2\n"}
+                "pareto-huge-cell": header + huge + ",1,4,0.3,0,1,0.2\n",
+                "pareto-nan-cell": header + "0.1,1,4,0.5,0.2,1,0.3\n"
+                                   "0.2,1,4,nan,0.1,1,0.3\n"}
         given.write_text(rows[case])
         closest = out / ("nodir" if case == "pareto-closest-dir-missing" else "")
         argv = ["pareto", "--in", str(given),
@@ -207,7 +210,8 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     before = sorted(out.iterdir())
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2: " if "huge" in case else "error: ")
+    line = 2 if "huge" in case else 3 if "nan" in case else None
+    assert err.startswith(f"error: line {line}: " if line else "error: ")
     assert sorted(out.iterdir()) == before
 
 

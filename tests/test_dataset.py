@@ -114,6 +114,14 @@ def test_needs_two_features():
 def test_needs_one_row():
     with pytest.raises(DatasetError):
         load("a,b\n")
+    with pytest.raises(DatasetError, match="at least 1 row"):
+        Dataset.from_words(["a", "b"], np.zeros((2, 0), np.uint64), 0)
+
+
+def test_matrix_shape_must_match_names():
+    for matrix in (np.zeros((3, 3), bool), np.zeros(3, bool)):
+        with pytest.raises(DatasetError, match="matrix shape does not match"):
+            Dataset(["a", "b"], matrix)
 
 
 def test_row_and_column_views_agree():

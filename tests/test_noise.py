@@ -90,3 +90,9 @@ def test_bad_fraction_raises_before_any_run(bad, runs):
     assert runs == []
     with pytest.raises(ValueError, match=r"noise fraction must be in \[0, 1\]"):
         inject_noise(d, bad, seed=0)
+
+
+def test_zero_replicates_raises_before_any_run(runs):
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        noise_experiment(small_dataset(), (0.0, 0.05), replicates=0)
+    assert runs == []

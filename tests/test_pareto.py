@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfc.dataset import Dataset
 from boolfc.pareto import (
@@ -82,6 +84,19 @@ def test_front_matches_quadratic_oracle():
         assert pareto_front(sols) == brute_force_front(sols)
 
 
+# coordinates on a 1/q lattice, q <= 5, so equal OI, equal C0 and equal
+# points are frequent; the thresholds tell duplicates apart
+_lattice = st.integers(1, 5).flatmap(
+    lambda q: st.integers(0, q).map(lambda i: i / q))
+
+
+@given(st.lists(st.tuples(_lattice, _lattice), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_front_matches_quadratic_oracle_on_tied_lattices(points):
+    sols = [sol(oi, c0, lam=i / 100) for i, (oi, c0) in enumerate(points)]
+    assert pareto_front(sols) == brute_force_front(sols)
+
+
 # -- closest_point -----------------------------------------------------------
 
 
@@ -157,6 +172,8 @@ def test_sweep_rejects_empty_grids():
         sweep(d, [], [1])
     with pytest.raises(ValueError):
         sweep(d, [0.1], [])
+    with pytest.raises(ValueError, match="iteration counts must be >= 1"):
+        sweep(d, [0.3], [0])
 
 
 # -- CSV ----------------------------------------------------------------------
@@ -196,6 +213,13 @@ def test_read_sweep_csv_short_row_names_line():
 
 
 def test_read_sweep_csv_non_numeric_cell_names_line():
-    text = f"{SWEEP_CSV_HEADER}\n{_GOOD_ROW}\n\n0.1,x,5,0.25,0.5,2,0.4\n"
-    with pytest.raises(ValueError, match=r"^line 4: .*'x'"):
-        read_sweep_csv(io.StringIO(text))
+    # a non-finite real would break the front's OI order, so it is refused
+    for row, match in (("0.1,x,5,0.25,0.5,2,0.4", r".*'x'"),
+                       ("0.1,2,5,nan,0.5,2,0.4", r"oi must be finite, got 'nan'"),
+                       ("0.1,2,5,0.2,inf,2,0.4", r"c0 must be finite, got 'inf'"),
+                       ("-inf,2,5,0.2,0.5,2,0.4", r"lambda must be finite"),
+                       ("0.1,2,5,0.2,0.5,NaN,0.4", r"c1 must be finite"),
+                       ("0.1,2,5,0.2,0.5,2,Infinity", r"rms must be finite")):
+        text = f"{SWEEP_CSV_HEADER}\n{_GOOD_ROW}\n\n{row}\n"
+        with pytest.raises(ValueError, match=f"^line 4: {match}"):
+            read_sweep_csv(io.StringIO(text))

@@ -29,6 +29,15 @@ from boolfc.stats import (
 # -- contingency -------------------------------------------------------------
 
 
+@pytest.mark.parametrize("counts, match", [
+    ((3, -1, 0, 2), "negative contingency count"),
+    ((0, 0, 0, 0), "empty contingency table"),
+])
+def test_contingency_table_rejects_bad_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        ContingencyTable(*counts)
+
+
 def test_contingency_identical_vectors():
     x = np.array([1, 1, 0, 0, 1], dtype=bool)
     t = contingency(x, x)
@@ -383,6 +392,19 @@ def test_kendall_perfect_concordance():
 def test_kendall_perfect_discordance():
     tau, _ = kendall_tau_test([1, 2, 3], [3, 2, 1])
     assert tau == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("test, x, y, match", [
+    (kendall_tau_test, [1, 2, 3], [1, 2], "equal length"),
+    (kendall_tau_test, [1, 2], [2, 1], "at least 3 observations"),
+    (kendall_exact_pvalue, [1, 2, 3], [1, 2, 3, 4], "equal length"),
+    (kendall_exact_pvalue, list(range(9)), list(range(9)), "limited to length 8"),
+])
+def test_kendall_rejects_bad_lengths(test, x, y, match):
+    # the zero-variance guard has no case: once neither sequence is
+    # entirely tied, the permutation variance of S is positive
+    with pytest.raises(ValueError, match=match):
+        test(x, y)
 
 
 def test_kendall_all_tied_rejected():

@@ -350,6 +350,19 @@ def test_run_iter_limit():
     assert res.iterations == 1
 
 
+@pytest.mark.parametrize("mode, args, match", [
+    (FixedMode, (0.0, 2), r"threshold must be in \(0, 1\), got 0.0"),
+    (FixedMode, (1.0, 2), r"threshold must be in \(0, 1\), got 1.0"),
+    (FixedMode, (0.3, 0), "limit_iter must be >= 1"),
+    (RiskMode, (0.0,), r"alpha must be in \(0, 0.5\), got 0.0"),
+    (RiskMode, (0.5,), r"alpha must be in \(0, 0.5\), got 0.5"),
+    (RiskMode, (0.01, 0), "hard_cap must be >= 1"),
+])
+def test_mode_bounds_rejected(mode, args, match):
+    with pytest.raises(ValueError, match=match):
+        mode(*args)
+
+
 def test_run_degenerate_dataset_rejected():
     d = dataset_from_columns({"a": [1, 0, 1, 0], "b": [0, 1, 0, 1]})
     with pytest.raises(UfcError):

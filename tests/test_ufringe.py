@@ -412,6 +412,15 @@ def test_fringe_of_a_chain_past_the_recursion_limit():
     assert got == [canonical_text(parse(w)) for w in want]
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"min_leaf": 0}, "min_leaf must be >= 1"),
+    ({"max_depth": 1}, "max_depth must be >= 2"),
+])
+def test_config_bounds_rejected(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        UfringeConfig(**kwargs)
+
+
 def test_run_no_fringe_yields_primitives():
     d = dataset_from_columns({"a": [1, 1, 1], "b": [0, 0, 0]})
     fs = ufringe_run(d, UfringeConfig(max_features=10, min_leaf=1))
