@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
 
 from . import expr as ex
-from .dataset import Dataset, DatasetError, load_dataset, save_dataset
-from .metrics import DuplicateFeatureError, FeatureSet, MetricsError, report
+from .dataset import Dataset, load_dataset, save_dataset
+from .metrics import DuplicateFeatureError, FeatureSet, report
 from .noise import noise_experiment, write_noise_csv
 from .pareto import (
     closest_point,
@@ -25,12 +26,8 @@ from .pareto import (
     sweep,
     write_sweep_csv,
 )
-from .stats import StatsError
-from .ufc import FixedMode, RiskMode, UfcConfig, UfcError, ufc_run
+from .ufc import FixedMode, RiskMode, UfcConfig, ufc_run
 from .ufringe import UfringeConfig, ufringe_run
-
-_ERRORS = (DatasetError, MetricsError, StatsError, UfcError, ex.ExprError,
-           ValueError, OSError)
 
 
 def _parse_prune(value: str) -> bool:
@@ -39,32 +36,35 @@ def _parse_prune(value: str) -> bool:
     return value == "on"
 
 
-def _open_out(path: str):
-    """Open a file the CLI writes itself: UTF-8 with LF line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+def _text_file(write):
+    """A ``save(data, path)`` that calls ``write(data, stream)`` on
+    ``path`` opened as UTF-8 with LF line ends: the one opener for the
+    files no library function writes."""
+    def save(data, path) -> None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write(data, fh)
+    return save
 
 
-def _write_json(obj, path: str) -> None:
-    with _open_out(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_sweep(sols, path: str) -> None:
-    with _open_out(path) as fh:
-        write_sweep_csv(sols, fh)
+def _dump_json(obj, out) -> None:
+    out.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _save_all(*saves) -> None:
-    """Call each ``save(data, path)`` in order.  If one fails, remove the
-    files written before it, so a failed command leaves no output."""
-    for i, (save, data, path) in enumerate(saves):
-        try:
+    """Call each ``save(data, path)`` in order: the only way the CLI
+    writes a file.  If one fails, remove every path that did not exist
+    when this started, the failing one too, and re-raise.  A path that
+    existed before is never removed, so a file that a save overwrote is
+    left as the failed write left it."""
+    new = [path for _, _, path in saves if not os.path.lexists(path)]
+    try:
+        for save, data, path in saves:
             save(data, path)
-        except BaseException:
-            for _, _, written in saves[:i]:
-                os.remove(written)
-            raise
+    except BaseException:
+        for path in new:
+            if os.path.lexists(path):
+                os.remove(path)
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,22 +203,24 @@ def cmd_construct(args, parser) -> int:
             "final_metrics": asdict(final),
         }
     _save_all((ex.save_feature_file, fs.members, args.out + ".features.txt"),
-              (_write_json, run_dict, args.out + ".run.json"))
+              (_text_file(_dump_json), run_dict, args.out + ".run.json"))
     print(final.to_json())
     return 0
 
 
 def cmd_sweep(args) -> int:
     d = load_dataset(args.dataset)
-    if args.lambda_step <= 0 or args.lambda_to < args.lambda_from:
+    lo, hi, step = args.lambda_from, args.lambda_to, args.lambda_step
+    # NaN fails every comparison, and an infinite bound an infinite span
+    if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
         raise ValueError("invalid lambda grid")
     if args.iters_max < 1:
         raise ValueError("--iters-max must be >= 1")
-    count = int(round((args.lambda_to - args.lambda_from) / args.lambda_step)) + 1
-    thresholds = [args.lambda_from + i * args.lambda_step for i in range(count)]
-    thresholds = [t for t in thresholds if t <= args.lambda_to + 1e-12]
+    count = int(round((hi - lo) / step)) + 1
+    thresholds = [lo + i * step for i in range(count)]
+    thresholds = [t for t in thresholds if t <= hi + 1e-12]
     sols = sweep(d, thresholds, range(1, args.iters_max + 1), pruning=args.prune)
-    _write_sweep(sols, args.out)
+    _save_all((_text_file(write_sweep_csv), sols, args.out))
     return 0
 
 
@@ -227,8 +229,8 @@ def cmd_pareto(args) -> int:
         sols = read_sweep_csv(fh)
     front = pareto_front(sols)
     best = closest_point(sols)
-    _save_all((_write_sweep, front, args.front_out),
-              (_write_json, solution_json_dict(best), args.closest_out))
+    _save_all((_text_file(write_sweep_csv), front, args.front_out),
+              (_text_file(_dump_json), solution_json_dict(best), args.closest_out))
     return 0
 
 
@@ -248,8 +250,8 @@ def cmd_metrics(args) -> int:
     fs = _load_feature_set(args.features, d)
     text = report(fs).to_json()
     if args.out:
-        with _open_out(args.out) as fh:
-            print(text, file=fh)
+        _save_all((_text_file(lambda line, out: print(line, file=out)),
+                   text, args.out))
     print(text)
     return 0
 
@@ -259,7 +261,7 @@ def cmd_transform(args) -> int:
     fs = _load_feature_set(args.features, d)
     taken: set[str] = set()
     names = [mangle_name(key, taken) for key in fs.keys]
-    save_dataset(Dataset.from_words(names, fs.words, d.n), args.out)
+    _save_all((save_dataset, Dataset.from_words(names, fs.words, d.n), args.out))
     return 0
 
 
@@ -276,8 +278,7 @@ def cmd_noise(args) -> int:
         alpha=args.risk,
         pruning=args.prune,
     )
-    with _open_out(args.out) as fh:
-        write_noise_csv(rows, fh)
+    _save_all((_text_file(write_noise_csv), rows, args.out))
     return 0
 
 
@@ -286,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except _ERRORS as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

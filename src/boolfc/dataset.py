@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Iterator, TextIO, Union
+from dataclasses import astuple
+from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .expr import IDENT_RE
 from .stats import pack_columns, unpack_columns
 
 
-class DatasetError(Exception):
+class DatasetError(ValueError):
     """Invalid dataset content; message carries the offending line number."""
 
 
@@ -196,6 +197,15 @@ def csv_table(stream: TextIO, error: type[Exception]) -> Iterator[tuple[int, lis
             yield reader.line_num, cells
     except csv.Error as err:
         raise error(f"line {reader.line_num}: {err}") from None
+
+
+def write_table(header: str, rows: Iterable, out: TextIO) -> None:
+    """Write ``header``, then one line per dataclass row: its fields in
+    order, joined by commas, integers as ``str`` and reals as ``.10g``."""
+    out.write(header + "\n")
+    for row in rows:
+        out.write(",".join(str(v) if isinstance(v, (int, np.integer))
+                           else format(v, ".10g") for v in astuple(row)) + "\n")
 
 
 def _load_strict(stream: TextIO) -> Dataset:

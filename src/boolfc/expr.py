@@ -28,7 +28,7 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _LITERAL_RE = re.compile("!?" + IDENT_RE.pattern)
 
 
-class ExprError(Exception):
+class ExprError(ValueError):
     """Base class for expression errors."""
 
 

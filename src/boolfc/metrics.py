@@ -15,7 +15,7 @@ from .dataset import Dataset, unique_count
 from .stats import unpack_columns
 
 
-class MetricsError(Exception):
+class MetricsError(ValueError):
     pass
 
 

@@ -9,7 +9,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .dataset import Dataset, check_noise_fraction, inject_noise
+from .dataset import Dataset, check_noise_fraction, inject_noise, write_table
 from .ufc import RiskMode, UfcConfig, count_common, ufc_run
 
 NOISE_CSV_HEADER = (
@@ -84,10 +84,4 @@ def noise_experiment(
 
 
 def write_noise_csv(rows: Sequence[NoiseRow], out: TextIO) -> None:
-    out.write(NOISE_CSV_HEADER + "\n")
-    for r in rows:
-        out.write(
-            f"{r.pct:.10g},{r.replicate},{r.oi:.10g},{r.c0:.10g},"
-            f"{r.num_features},{r.common_with_zero_noise},"
-            f"{r.common_between_runs:.10g}\n"
-        )
+    write_table(NOISE_CSV_HEADER, rows, out)

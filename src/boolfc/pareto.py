@@ -7,7 +7,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, TextIO
 
-from .dataset import Dataset, csv_table
+from .dataset import Dataset, csv_table, write_table
 from .ufc import FixedMode, UfcConfig, ufc_run
 
 SWEEP_CSV_HEADER = "lambda,limit_iter,num_features,oi,c0,c1,rms"
@@ -89,12 +89,7 @@ def closest_point(sols: Sequence[Solution]) -> Solution:
 
 
 def write_sweep_csv(sols: Iterable[Solution], out: TextIO) -> None:
-    out.write(SWEEP_CSV_HEADER + "\n")
-    for s in sols:
-        out.write(
-            f"{s.threshold:.10g},{s.limit_iter},{s.num_features},"
-            f"{s.oi:.10g},{s.c0:.10g},{s.c1:.10g},{s.rms:.10g}\n"
-        )
+    write_table(SWEEP_CSV_HEADER, sols, out)
 
 
 def _finite(name: str, cell: str) -> float:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 
-class StatsError(Exception):
+class StatsError(ValueError):
     pass
 
 

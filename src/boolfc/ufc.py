@@ -14,7 +14,7 @@ from .metrics import FeatureSet, MetricsReport, report
 from .stats import cooccurrence, expected_counts_mask, lambda_from_risk, phi_coefficients
 
 
-class UfcError(Exception):
+class UfcError(ValueError):
     pass
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -164,8 +165,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
     ["pareto-empty", "pareto-header-only", "pareto-closest-dir-missing",
      "construct-run-json-is-dir", "transform-unknown-feature",
      "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell",
-     "sweep-lambda-step-0", "sweep-iters-max-0", "noise-no-fraction",
-     "pareto-nan-cell"],
+     "sweep-lambda-step-0", "sweep-iters-max-0", "sweep-lambda-to-inf",
+     "sweep-lambda-step-nan", "noise-no-fraction", "pareto-nan-cell"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
@@ -188,8 +189,11 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
         argv = ["noise", toy_csv, "--pcts", pcts[case], "--replicates", "5",
                 "--out", str(out / "noise.csv")]
     elif case.startswith("sweep"):
-        step, iters = ("0", "2") if case == "sweep-lambda-step-0" else ("0.1", "0")
-        argv = ["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", "0.3",
+        to, step, iters = {"sweep-lambda-step-0": ("0.3", "0", "2"),
+                           "sweep-iters-max-0": ("0.3", "0.1", "0"),
+                           "sweep-lambda-to-inf": ("inf", "0.1", "2"),
+                           "sweep-lambda-step-nan": ("0.3", "nan", "2")}[case]
+        argv = ["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", to,
                 "--lambda-step", step, "--iters-max", iters,
                 "--out", str(out / "sweep.csv")]
     elif case == "construct-run-json-is-dir":
@@ -210,9 +214,77 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     before = sorted(out.iterdir())
     assert main(argv) == 1
     err = capsys.readouterr().err
-    line = 2 if "huge" in case else 3 if "nan" in case else None
+    line = 2 if "huge" in case else 3 if "nan-cell" in case else None
     assert err.startswith(f"error: line {line}: " if line else "error: ")
     assert sorted(out.iterdir()) == before
+
+
+def cli_env() -> dict:
+    """The environment of a child Python that imports this checkout's
+    sources and writes no bytecode."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+@pytest.mark.parametrize("command", ["construct", "transform", "sweep"])
+def test_write_past_the_file_size_limit_leaves_no_file(
+    command, toy_csv, tmp_path
+):
+    """A write that fails part way, here with EFBIG past RLIMIT_FSIZE
+    (Python ignores SIGXFSZ), exits 1 and leaves no output file, neither
+    the truncated one nor one written in full before it."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_FSIZE"):
+        pytest.skip("no RLIMIT_FSIZE on this platform")
+    feats = tmp_path / "f.txt"
+    feats.write_text("w & x\n!w & x\ny\nz\n")
+
+    def argv(out):
+        return {
+            "construct": ["construct", toy_csv, "--risk", "0.01",
+                          "--out", str(out / "run")],
+            "transform": ["transform", toy_csv, "--features", str(feats),
+                          "--out", str(out / "tf.csv")],
+            "sweep": ["sweep", toy_csv, "--lambda-from", "0.05",
+                      "--lambda-to", "0.5", "--lambda-step", "0.05",
+                      "--iters-max", "4", "--out", str(out / "sweep.csv")],
+        }[command]
+
+    ref, out = tmp_path / "ref", tmp_path / "out"
+    ref.mkdir()
+    out.mkdir()
+    assert main(argv(ref)) == 0
+    sizes = sorted(path.stat().st_size for path in ref.iterdir())
+    limit = sizes[-1] // 2  # construct: between features.txt and run.json
+    assert len(sizes) == 1 or sizes[0] < limit
+    hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "boolfc.cli", *argv(out)],
+        env=cli_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=partial(resource.setrlimit, resource.RLIMIT_FSIZE,
+                           (limit, hard)),
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert list(out.iterdir()) == []
+
+
+def test_failed_write_keeps_paths_that_existed(toy_csv, tmp_path, capsys):
+    """A failed command removes only the paths it created: a --front-out
+    symlink that existed stays, though its target now holds the front."""
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("lambda,limit_iter,num_features,oi,c0,c1,rms\n"
+                         "0.1,1,4,0.3,0,1,0.2\n")
+    target = tmp_path / "target.csv"
+    target.write_text("kept\n")
+    front = tmp_path / "front.csv"
+    front.symlink_to(target)
+    assert main(["pareto", "--in", str(sweep_csv), "--front-out", str(front),
+                 "--closest-out", str(tmp_path / "nodir" / "cp.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert front.is_symlink()
+    assert front.read_bytes() == sweep_csv.read_bytes()
 
 
 def test_sweep_pareto_pipeline(toy_csv, tmp_path):
@@ -353,12 +425,9 @@ def test_commands_never_import_numpy_ma(toy_csv, tmp_path):
         "             '--out', out + '.noise.csv']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     done = subprocess.run(
         [sys.executable, "-c", script, toy_csv, str(tmp_path / "run")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

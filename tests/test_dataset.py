@@ -1,4 +1,5 @@
 import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from boolfc.dataset import (
     inject_noise,
     load_dataset,
     unique_count,
+    write_table,
 )
 from boolfc.stats import pack_columns, unpack_columns
 
@@ -430,3 +432,16 @@ def test_dataset_from_words_dumps_and_reads_as_its_matrix(n):
     assert d == Dataset(names, matrix)
     with pytest.raises(DatasetError, match="word array shape"):
         Dataset.from_words(names, pack_columns(matrix), n + 64)
+
+
+@dataclass(frozen=True)
+class Row:
+    count: int
+    value: float
+
+
+def test_write_table_writes_ints_plain_and_reals_to_ten_digits():
+    out = io.StringIO()
+    write_table("n,x", [Row(3, 0.1 + 0.2), Row(np.int64(12345678901), 2.0),
+                        Row(-1, np.float64(1e-12 / 3))], out)
+    assert out.getvalue() == "n,x\n3,0.3\n12345678901,2\n-1,3.333333333e-13\n"
