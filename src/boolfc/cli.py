@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--risk", type=float,
                    help="significance level for the risk-based mode")
     p.add_argument("--hard-cap", type=int)
-    p.add_argument("--prune", type=_parse_prune, default=None,
+    p.add_argument("--prune", type=_parse_prune,
                    help="candidate pruning on|off (default: on in risk mode)")
     p.add_argument("--max-features", type=int,
                    help="feature budget (ufringe): a round starts only while "
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-to", type=float, required=True)
     p.add_argument("--lambda-step", type=float, required=True)
     p.add_argument("--iters-max", type=int, required=True)
-    p.add_argument("--prune", type=_parse_prune, default=False)
+    p.add_argument("--prune", type=_parse_prune)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(run=cmd_sweep)
 
@@ -125,10 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--pcts", required=True,
                    help="comma-separated noise fractions, e.g. 0,0.1,0.2")
-    p.add_argument("--replicates", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--risk", type=float, default=0.001)
-    p.add_argument("--prune", type=_parse_prune, default=False)
+    p.add_argument("--replicates", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--risk", type=float)
+    p.add_argument("--prune", type=_parse_prune)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(run=cmd_noise)
 
@@ -156,7 +156,7 @@ def mangle_name(text: str, taken: set[str]) -> str:
 
 def _given(**flags) -> dict:
     """The flags set on the command line: the rest keep their defaults
-    from the config class they are passed to."""
+    from the function or config class they are passed to."""
     return {name: value for name, value in flags.items() if value is not None}
 
 
@@ -219,7 +219,8 @@ def cmd_sweep(args) -> int:
     count = int(round((hi - lo) / step)) + 1
     thresholds = [lo + i * step for i in range(count)]
     thresholds = [t for t in thresholds if t <= hi + 1e-12]
-    sols = sweep(d, thresholds, range(1, args.iters_max + 1), pruning=args.prune)
+    sols = sweep(d, thresholds, range(1, args.iters_max + 1),
+                 **_given(pruning=args.prune))
     _save_all((_text_file(write_sweep_csv), sols, args.out))
     return 0
 
@@ -270,14 +271,9 @@ def cmd_noise(args) -> int:
     pcts = [float(s) for s in args.pcts.split(",") if s.strip() != ""]
     if not pcts:
         raise ValueError("--pcts must list at least one fraction")
-    rows = noise_experiment(
-        d,
-        pcts,
-        replicates=args.replicates,
-        seed=args.seed,
-        alpha=args.risk,
-        pruning=args.prune,
-    )
+    rows = noise_experiment(d, pcts, **_given(
+        replicates=args.replicates, seed=args.seed, alpha=args.risk,
+        pruning=args.prune))
     _save_all((_text_file(write_noise_csv), rows, args.out))
     return 0
 

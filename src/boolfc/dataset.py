@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, TextIO, Union
 import numpy as np
 
 from .expr import IDENT_RE
-from .stats import pack_columns, unpack_columns
+from .stats import pack_columns, row_mask, unpack_columns
 
 
 class DatasetError(ValueError):
@@ -58,9 +58,10 @@ class Dataset:
     @classmethod
     def from_words(cls, feature_names, words: np.ndarray, n: int) -> "Dataset":
         """The dataset of n rows whose columns are the rows of ``words``,
-        laid out as ``stats.pack_columns`` makes them.  ``words`` is kept
-        as is if it is read-only and owns its data, else copied: the owner
-        of a writeable array or of a view could still change it."""
+        laid out as ``stats.pack_columns`` makes them, with no bit set past
+        row n.  ``words`` is kept as is if it is read-only and owns its
+        data, else copied: the owner of a writeable array or of a view
+        could still change it."""
         words = np.asarray(words, dtype=np.uint64)
         if words.shape != (len(feature_names), -(-n // 64)):
             raise DatasetError("word array shape does not match feature names")
@@ -68,6 +69,8 @@ class Dataset:
             words = words.copy()
         d = cls.__new__(cls)
         d._bind(feature_names, n, words)
+        if (words & ~row_mask(n)).any():
+            raise DatasetError(f"a bit past the {n} rows is set")
         return d
 
     def _bind(self, feature_names, n, words) -> None:

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
-from .stats import pack_columns, unpack_columns
+from .stats import row_mask, unpack_columns
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _LITERAL_RE = re.compile("!?" + IDENT_RE.pattern)
@@ -218,7 +218,7 @@ def evaluate_words(
     right evaluation meets first.
     """
     memo = dict(known)  # canonical text -> words
-    ones = pack_columns(np.ones((dataset.n, 1), dtype=bool))[0]
+    ones = row_mask(dataset.n)
     out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
     for j, e in enumerate(exprs):
         # post-order: a node is pushed back as ready above its operands,
@@ -276,38 +276,30 @@ def literal_count(e: FeatureExpr) -> int:
 # feature-set text files: one expression per line, '#' comments, blanks ignored
 
 class FeatureFile(list):
-    """The expressions of a feature file, in order; ``lines[i]`` is the
-    1-based line that expression i was read from."""
+    """The expressions of the text lines of a feature file, in order;
+    ``lines[i]`` is the 1-based line that expression i was read from.  A
+    SyntaxError_ names its line, and its offset counts from the start of
+    the stripped line."""
 
-    def __init__(self, numbered: Iterable[tuple[int, FeatureExpr]]):
-        numbered = list(numbered)
-        super().__init__(e for _, e in numbered)
-        self.lines = [lineno for lineno, _ in numbered]
-
-
-def _numbered_feature_lines(lines: Iterable[str]) -> Iterator[tuple[int, FeatureExpr]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            e = parse(line)
-        except SyntaxError_ as err:
-            err.args = (f"line {lineno}: {err}",)
-            raise
-        yield lineno, e
-
-
-def iter_feature_lines(lines: Iterable[str]) -> Iterator[FeatureExpr]:
-    """Parse each expression line; a SyntaxError_ names its 1-based line,
-    and its offset counts from the start of the stripped line."""
-    return (e for _, e in _numbered_feature_lines(lines))
+    def __init__(self, lines: Iterable[str]):
+        super().__init__()
+        self.lines = []
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                self.append(parse(line))
+            except SyntaxError_ as err:
+                err.args = (f"line {lineno}: {err}",)
+                raise
+            self.lines.append(lineno)
 
 
 def load_feature_file(path) -> FeatureFile:
     """Parse a feature file, with or without a UTF-8 byte-order mark."""
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return FeatureFile(_numbered_feature_lines(fh))
+        return FeatureFile(fh)
 
 
 def dump_features(exprs: Iterable[FeatureExpr], out: TextIO) -> None:

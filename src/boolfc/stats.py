@@ -68,6 +68,12 @@ def pack_columns(x: np.ndarray) -> np.ndarray:
     return words
 
 
+def row_mask(n: int) -> np.ndarray:
+    """The words of an all-true column of n rows in ``pack_columns``'
+    layout: set exactly at the bits that hold rows 0 to n - 1."""
+    return pack_columns(np.ones((n, 1), dtype=bool))[0]
+
+
 def unpack_columns(words: np.ndarray, n: int, start: int = 0) -> np.ndarray:
     """(n, m) bool matrix of rows ``start`` to ``start + n`` of the m
     columns in ``words``, ``start`` a multiple of 8: the inverse of
@@ -199,20 +205,16 @@ def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, absolute error well under 1e-6."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2 * math.log(p))
-        x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
-    elif p <= _P_HIGH:
+    if _P_LOW <= p <= _P_HIGH:
         q = p - 0.5
         r = q * q
-        x = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+        return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
             (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1)
-    else:
-        q = math.sqrt(-2 * math.log(1 - p))
-        x = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
-    return x
+    # the upper tail is the lower tail's negative at 1 - p
+    q = math.sqrt(-2 * math.log(min(p, 1 - p)))
+    x = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1)
+    return x if p < 0.5 else -x
 
 
 def normal_cdf(z: float) -> float:

@@ -394,6 +394,25 @@ def test_transform_roundtrips_and_matches_extensions(toy_csv, tmp_path):
     assert np.array_equal(transformed.matrix, fs.extensions)
 
 
+def test_noise_and_sweep_pass_only_the_flags_given(toy_csv, tmp_path, monkeypatch):
+    # an unset flag is not passed, so it takes the library function's default
+    calls = []
+    monkeypatch.setattr("boolfc.cli.noise_experiment",
+                        lambda d, pcts, **kw: calls.append(kw) or [])
+    monkeypatch.setattr("boolfc.cli.sweep",
+                        lambda d, thresholds, iters, **kw: calls.append(kw) or [])
+    out = str(tmp_path / "out.csv")
+    noise = ["noise", toy_csv, "--pcts", "0", "--out", out]
+    sweep = ["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", "0.1",
+             "--lambda-step", "0.1", "--iters-max", "1", "--out", out]
+    for argv in (noise, sweep, sweep + ["--prune", "on"],
+                 noise + ["--replicates", "2", "--seed", "7", "--risk", "0.01",
+                          "--prune", "off"]):
+        assert main(argv) == 0
+    assert calls == [{}, {}, {"pruning": True},
+                     {"replicates": 2, "seed": 7, "alpha": 0.01, "pruning": False}]
+
+
 def test_noise_zero_pct_common_equals_m(toy_csv, tmp_path):
     # with one replicate there is no pair of runs to compare, and
     # common_between_runs is the set's own size at every fraction

@@ -222,15 +222,15 @@ def test_inject_noise_double_flip_restores():
 
 def test_inject_noise_rejects_out_of_range():
     d = load("a,b\n1,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^noise fraction must be in \[0, 1\], got 1\.5$"):
         inject_noise(d, 1.5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^noise fraction must be in \[0, 1\], got -0\.1$"):
         inject_noise(d, -0.1, seed=0)
 
 
 def test_dataset_immutable():
     d = load("a,b\n1,0\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="read-only"):
         d.matrix[0, 0] = False
 
 
@@ -432,6 +432,18 @@ def test_dataset_from_words_dumps_and_reads_as_its_matrix(n):
     assert d == Dataset(names, matrix)
     with pytest.raises(DatasetError, match="word array shape"):
         Dataset.from_words(names, pack_columns(matrix), n + 64)
+
+
+@pytest.mark.parametrize("n", [1, 3, 63, 65])
+def test_from_words_refuses_a_bit_past_row_n(n):
+    names = ["a", "b"]
+    assert Dataset.from_words(names, pack_columns(np.ones((n, 2), bool)), n).matrix.all()
+    rows = 64 * -(-n // 64)
+    for row in range(n, rows):  # every padding bit, one at a time
+        padded = np.zeros((rows, 2), bool)
+        padded[row, 1] = True
+        with pytest.raises(DatasetError, match=f"^a bit past the {n} rows is set$"):
+            Dataset.from_words(names, pack_columns(padded), n)
 
 
 @dataclass(frozen=True)

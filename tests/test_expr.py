@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from boolfc.dataset import Dataset
 from boolfc.expr import (
     And,
+    FeatureFile,
     Not,
     Prim,
     SyntaxError_,
@@ -20,7 +21,6 @@ from boolfc.expr import (
     dump_features,
     evaluate,
     evaluate_batch,
-    iter_feature_lines,
     literal_count,
     load_feature_file,
     parse,
@@ -585,12 +585,14 @@ def test_feature_file_roundtrip():
     buf = io.StringIO()
     dump_features(exprs, buf)
     lines = buf.getvalue().splitlines()
-    assert list(iter_feature_lines(lines)) == exprs
+    assert FeatureFile(lines) == exprs
 
 
 def test_feature_file_comments_and_blanks():
     text = "# header comment\n\na & b\n  \n!c\n"
-    assert list(iter_feature_lines(text.splitlines())) == [parse("a & b"), parse("!c")]
+    exprs = FeatureFile(text.splitlines())
+    assert exprs == [parse("a & b"), parse("!c")]
+    assert exprs.lines == [3, 5]
 
 
 def test_feature_file_with_bom_loads_and_numbers_its_lines(tmp_path):
@@ -616,8 +618,8 @@ def test_evaluate_batch_unknown_name_carries_its_member_index():
 def test_feature_file_error_names_its_line():
     lines = ["# comment", "a & b", "", "  !(a & @)", "c"]
     with pytest.raises(SyntaxError_) as err:
-        list(iter_feature_lines(lines))
+        FeatureFile(lines)
     assert str(err.value) == "line 4: unexpected character '@' (at offset 6)"
     assert err.value.offset == 6
     with pytest.raises(SyntaxError_, match=r"^line 2: expected '\)' \(at offset 6\)$"):
-        list(iter_feature_lines(["a", "a & (b"]))
+        FeatureFile(["a", "a & (b"])

@@ -187,9 +187,10 @@ def test_rms_monotone_and_bounded():
 
 
 def test_rms_rejects_bad_input():
-    with pytest.raises(ValueError):
+    refused = "^rms expects finite non-negative inputs, got "
+    with pytest.raises(ValueError, match=refused + r"-0\.1, 0\.2$"):
         rms(-0.1, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=refused + r"nan, 0\.2$"):
         rms(float("nan"), 0.2)
 
 

@@ -129,7 +129,7 @@ def test_closest_point_always_on_front():
 
 
 def test_closest_point_empty_is_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^closest_point needs at least one solution$"):
         closest_point([])
 
 
@@ -168,9 +168,9 @@ def test_sweep_monotone_along_iterations():
 
 def test_sweep_rejects_empty_grids():
     d = correlated_dataset()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sweep grids must be non-empty$"):
         sweep(d, [], [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sweep grids must be non-empty$"):
         sweep(d, [0.1], [])
     with pytest.raises(ValueError, match="iteration counts must be >= 1"):
         sweep(d, [0.3], [0])
@@ -195,7 +195,7 @@ def test_sweep_csv_roundtrip():
 
 
 def test_read_sweep_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unexpected sweep CSV header: \['nope', 'nope'\]$"):
         read_sweep_csv(io.StringIO("nope,nope\n"))
 
 

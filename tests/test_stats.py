@@ -51,7 +51,7 @@ def test_contingency_complement():
 
 
 def test_contingency_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^length mismatch: \(3,\) vs \(4,\)$"):
         contingency(np.zeros(3, bool), np.zeros(4, bool))
 
 
@@ -312,9 +312,34 @@ def test_normal_quantile_against_bisection_oracle():
         )
 
 
+# exact bits, which risk-mode run.json records through lambda: both
+# tails, the centre and both neighbours of each tail bound
+PINNED_QUANTILES = [
+    (1e-300, -37.04709630294563),
+    (1e-10, -6.36134089949508),
+    (math.nextafter(stats._P_LOW, 0), -1.972961053530962),
+    (math.nextafter(stats._P_LOW, 1), -1.9729610490848712),
+    (math.nextafter(stats._P_HIGH, 0), 1.9729610490850358),
+    (math.nextafter(stats._P_HIGH, 1), 1.9729610535309645),
+    (0.5, 0.0),
+    (0.975, 1.959963986120195),
+    (0.999, 3.090232304709404),
+    (1 - 1e-12, 7.0344869026843035),
+]
+
+
+@pytest.mark.parametrize("p, x", PINNED_QUANTILES)
+def test_normal_quantile_keeps_its_bits(p, x):
+    assert normal_quantile(p) == x
+
+
+def test_lambda_from_risk_keeps_its_bits():
+    assert lambda_from_risk(0.001, 5000) == 0.043702484362035054
+
+
 def test_normal_quantile_rejects_out_of_range():
     for p in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^probability must be in \(0, 1\), got "):
             normal_quantile(p)
 
 
@@ -333,9 +358,9 @@ def test_lambda_from_risk_monotonicity():
 
 
 def test_lambda_from_risk_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^alpha must be in \(0, 0\.5\), got 0\.6$"):
         lambda_from_risk(0.6, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
         lambda_from_risk(0.01, 0)
 
 
