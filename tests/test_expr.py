@@ -24,9 +24,11 @@ from boolfc.expr import (
     literal_count,
     load_feature_file,
     parse,
+    save_feature_file,
     to_text,
 )
 from boolfc.metrics import DuplicateFeatureError, FeatureSet
+from boolfc.ufc import RiskMode, UfcConfig, ufc_run
 
 # -- naive per-row oracle ----------------------------------------------------
 
@@ -84,10 +86,25 @@ def test_parse_error_offsets():
     with pytest.raises(SyntaxError_) as err:
         parse("a @ b")
     assert err.value.offset == 2
-    with pytest.raises(SyntaxError_):
-        parse("a b")
-    with pytest.raises(SyntaxError_):
-        parse("")
+    # every message, with whitespace before the token it names, so the
+    # offset is the token's own, found again by the error-only rescan
+    for text, message, offset in (
+        ("a b", "trailing input", 2),
+        ("", "unexpected end of input", 0),
+        ("a &  ", "unexpected end of input", 5),
+        ("a &  & b", "unexpected token '&'", 5),
+        ("(a & b)  c", "trailing input", 9),
+        ("!(a & b  c", "expected ')'", 9),
+        ("!(a & b  ", "expected ')'", 9),
+        ("a &  )", "unexpected token ')'", 5),
+        # a bad character comes first, even after another error
+        ("a &  & b  @", "unexpected character '@'", 10),
+        ("a  b  %  $", "unexpected character '%'", 6),
+    ):
+        with pytest.raises(SyntaxError_) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at offset {offset})"
+        assert err.value.offset == offset
     # offsets count characters, not UTF-8 bytes
     for text, offset in (("\u00e9", 0), ("\u00a0\u2028@", 2)):
         with pytest.raises(SyntaxError_) as err:
@@ -623,3 +640,64 @@ def test_feature_file_error_names_its_line():
     assert err.value.offset == 6
     with pytest.raises(SyntaxError_, match=r"^line 2: expected '\)' \(at offset 6\)$"):
         FeatureFile(["a", "a & (b"])
+
+
+# -- shared subexpressions ---------------------------------------------------
+
+
+@st.composite
+def embedding_lines(draw):
+    """Feature-file lines in which later lines embed earlier ones as
+    '(...)' and '!(...)', between comments and blank lines."""
+    exprs, raw = ["a", "b", "!c", "a & b"], []
+    for _ in range(draw(st.integers(1, 10))):
+        parts = [
+            draw(st.sampled_from(["{}", "({})", "!({})", "!!({})"])).format(
+                draw(st.sampled_from(exprs)))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        exprs.append(" & ".join(parts))
+        raw += draw(st.sampled_from([[], [""], ["# note"]])) + [exprs[-1]]
+    return raw
+
+
+@given(embedding_lines())
+@settings(max_examples=300, deadline=None)
+def test_feature_file_matches_parse_line_by_line(raw):
+    ff = FeatureFile(raw)
+    want = [(n, parse(line)) for n, line in enumerate(raw, start=1)
+            if line and not line.startswith("#")]
+    assert ff.lines == [n for n, _ in want]
+    assert [e.text for e in ff] == [e.text for _, e in want]
+    assert [e.canonical.text for e in ff] == [e.canonical.text for _, e in want]
+
+
+def distinct_nodes(exprs):
+    """id -> node, over every node reachable from ``exprs``."""
+    nodes, stack = {}, list(exprs)
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            if isinstance(node, Not):
+                stack.append(node.child)
+            elif isinstance(node, And):
+                stack += (node.left, node.right)
+    return nodes
+
+
+def test_feature_file_builds_each_subexpression_once(tmp_path):
+    ff = FeatureFile(["a & b", "c & (a & b)", "!(a & b) & c"])
+    assert ff[1].right is ff[0] and ff[2].left.child is ff[0]
+    assert ff[1].left is ff[2].right
+    # every member of a uFC run's file is built from two earlier ones
+    rng = np.random.default_rng(0)
+    latent = rng.random((2000, 5)) < 0.4
+    d = Dataset([f"f{j}" for j in range(20)], np.column_stack(
+        [latent[:, j % 5] ^ (rng.random(2000) < 0.1 + 0.02 * (j % 5)) for j in range(20)]))
+    save_feature_file(ufc_run(d, UfcConfig(RiskMode(0.001))).features.members,
+                      tmp_path / "run.features.txt")
+    ff = load_feature_file(tmp_path / "run.features.txt")
+    nodes = distinct_nodes(ff)
+    assert len(nodes) == len({node.text for node in nodes.values()})
+    assert len(nodes) < sum(len(list(subtrees(e))) for e in ff)
