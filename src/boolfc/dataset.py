@@ -5,9 +5,9 @@ Feature names must match the identifier grammar of :mod:`boolfc.expr`
 so they can appear in expressions without quoting.
 
 A regular CSV file (the layout ``dump_dataset`` writes, with LF or CRLF
-endings and an optional byte-order mark) is validated and converted as
-one byte array; anything else goes through the strict ``csv`` parser,
-the only code that reports errors.
+endings and an optional byte-order mark) is validated and converted
+straight from its bytes, a block of rows at a time; anything else goes
+through the strict ``csv`` parser, the only code that reports errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, TextIO, Union
 import numpy as np
 
 from .expr import IDENT_RE
-from .stats import pack_columns, row_mask, unpack_columns
+from .stats import BLOCK_BYTES, pack_columns, row_mask, unpack_columns
 
 
 class DatasetError(ValueError):
@@ -121,7 +121,6 @@ class Dataset:
 
 
 _BOM = b"\xef\xbb\xbf"
-_DUMP_BLOCK_BYTES = 1 << 20  # output bytes per block that dump_dataset writes
 
 
 def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
@@ -151,6 +150,11 @@ def _load_regular(raw: bytes) -> Dataset | None:
     names, without quotes or carriage returns; one or more data lines,
     each exactly k cells of 0 or 1 joined by commas; every line ending
     in LF, or every line in CRLF.
+
+    The body is read as an (n, line length) byte matrix, a block of about
+    ``BLOCK_BYTES``, a multiple of 64 rows, at a time: each block is
+    checked against the row pattern, then its cells are packed into the
+    block's own words of the columns.  No (n, k) temporary is built.
     """
     start = len(_BOM) if raw.startswith(_BOM) else 0
     eol = raw.find(b"\n", start)
@@ -172,10 +176,18 @@ def _load_regular(raw: bytes) -> Dataset | None:
     body = np.frombuffer(raw, dtype=np.uint8, offset=eol + 1)
     if body.size == 0 or body.size % want.size:
         return None
-    rows = body.reshape(-1, want.size)
-    if not ((rows & mask) == want).all():
-        return None
-    return Dataset(names, rows[:, 0:2 * k:2] == ord("1"))
+    lines = body.reshape(-1, want.size)
+    words = np.empty((k, -(-len(lines) // 64)), dtype=np.uint64)
+    rows = max(64, BLOCK_BYTES // want.size // 64 * 64)
+    for top in range(0, len(lines), rows):
+        block = lines[top:top + rows]
+        if not ((block & mask) == want).all():
+            return None
+        # F-ordered cells pack with no copy; unnamed, they are freed at once
+        words[:, top // 64:(top + rows) // 64] = pack_columns(
+            np.equal(block[:, 0:2 * k:2], ord("1"), order="F"))
+    words.setflags(write=False)
+    return Dataset.from_words(names, words, len(lines))
 
 
 def csv_table(stream: TextIO, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
@@ -236,13 +248,13 @@ def _load_strict(stream: TextIO) -> Dataset:
 
 
 def dump_dataset(d: Dataset, out: TextIO) -> None:
-    """Write the header, then the rows in blocks of about
-    ``_DUMP_BLOCK_BYTES``, each block unpacked from the dataset's words
-    and rendered as one byte buffer.  A block is a multiple of 8 rows, so
-    it starts on a row that ``unpack_columns`` can start from."""
+    """Write the header, then the rows in blocks of about ``BLOCK_BYTES``,
+    each block unpacked from the dataset's words and rendered as one byte
+    buffer.  A block is a multiple of 8 rows, so it starts on a row that
+    ``unpack_columns`` can start from."""
     out.write(",".join(d.feature_names) + "\n")
     n, k = d.n, d.k
-    rows = max(8, _DUMP_BLOCK_BYTES // (2 * k) // 8 * 8)
+    rows = max(8, BLOCK_BYTES // (2 * k) // 8 * 8)
     buf = np.full((min(rows, n), 2 * k), ord(","), dtype=np.uint8)
     buf[:, -1] = ord("\n")
     for top in range(0, n, rows):
@@ -259,9 +271,14 @@ def save_dataset(d: Dataset, path) -> None:
 
 def unique_count(d: Dataset) -> int:
     """Number of distinct full rows, computed once per (immutable) dataset
-    by sorting the rows, packed into 64-bit words, and counting changes."""
+    by sorting the rows, packed into 64-bit words, and counting changes.
+    The rows are unpacked and packed a block of about ``BLOCK_BYTES`` at a
+    time, so no (n, k) matrix is built."""
     if d._unique_rows is None:
-        rows = pack_columns(d.matrix.T)  # (n, ceil(k / 64))
+        step = max(64, BLOCK_BYTES // d.k // 64 * 64)  # rows per block
+        rows = np.concatenate([  # (n, ceil(k / 64))
+            pack_columns(unpack_columns(d.words, min(step, d.n - top), top).T)
+            for top in range(0, d.n, step)])
         rows = rows[np.lexsort(rows.T)]  # equal rows end up adjacent
         d._unique_rows = 1 + int((rows[1:] != rows[:-1]).any(axis=1).sum())
     return d._unique_rows

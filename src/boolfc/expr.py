@@ -127,29 +127,27 @@ FeatureExpr = Union[Prim, Not, And]
 # ---------------------------------------------------------------------------
 # parsing
 
-# (a name or an operator, '') or ('', any other visible character: an
-# error); whitespace between tokens matches nothing and is skipped
-_TOKEN_RE = re.compile(f"({IDENT_RE.pattern}|[!&()])|(\\S)")
+# a name or an operator; whatever else lies between tokens is skipped
+_TOKEN_RE = re.compile(f"{IDENT_RE.pattern}|[!&()]")
+# the longest prefix of names, operators and whitespace: it ends at the
+# first character that no token holds, which ``_TOKEN_RE`` would skip
+_VALID_RE = re.compile(f"(?:{IDENT_RE.pattern}|[\\s!&()]+)*")
 
 
 def parse(text: str) -> FeatureExpr:
     """Parse expression text, raising SyntaxError_ with a character offset.
 
-    Tokenizing is one ``findall``; a token's offset is found again, by a
-    rescan of the text, only for the error raised.  A bad character is
-    reported before any syntax error.  Groups are kept on an explicit
-    stack, so nesting depth is not limited by Python's recursion limit.
+    One ``match`` finds the first bad character, if any, and one
+    ``findall`` tokenizes; a token's offset is found again, by a rescan of
+    the text, only for the error raised.  A bad character is reported
+    before any syntax error.  Groups are kept on an explicit stack, so
+    nesting depth is not limited by Python's recursion limit.
     """
     return _parse(text, {})
 
 
-def _error(text: str, tokens: list, i: int, message: str) -> SyntaxError_:
-    """The error for token i, unless some token is a bad character: then
-    the error for the first of those."""
-    for j, (_, bad) in enumerate(tokens):
-        if bad:
-            i, message = j, f"unexpected character {bad!r}"
-            break
+def _error(text: str, i: int, message: str) -> SyntaxError_:
+    """The error for token i."""
     offsets = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
     return SyntaxError_(message, offsets[i])
 
@@ -159,12 +157,15 @@ def _parse(text: str, nodes: dict) -> FeatureExpr:
     operands: a Prim is keyed by its name, a Not by ``(id(child),)`` and an
     And by ``(id(left), id(right))``.  ``nodes`` keeps every node it holds
     alive, so no id it keys by is reused while it lives."""
+    bad = _VALID_RE.match(text).end()
+    if bad < len(text):
+        raise SyntaxError_(f"unexpected character {text[bad]!r}", bad)
     tokens = _TOKEN_RE.findall(text)
-    tokens.append(("", ""))  # the end of the text
+    tokens.append("")  # the end of the text
     last = len(tokens) - 1
     stack = []  # (conjunction, pending '!' count) outside each open '('
     node, negs, want_term = None, 0, True
-    for i, (value, _) in enumerate(tokens):
+    for i, value in enumerate(tokens):
         if want_term:
             if value == "!":
                 negs += 1
@@ -174,9 +175,9 @@ def _parse(text: str, nodes: dict) -> FeatureExpr:
                 node, negs = None, 0
                 continue
             if not value:
-                raise _error(text, tokens, i, "unexpected end of input")
+                raise _error(text, i, "unexpected end of input")
             if value in ("&", ")"):
-                raise _error(text, tokens, i, f"unexpected token {value!r}")
+                raise _error(text, i, f"unexpected token {value!r}")
             term = nodes.get(value) or nodes.setdefault(value, Prim(value))
         elif value == "&":
             want_term = True
@@ -185,9 +186,9 @@ def _parse(text: str, nodes: dict) -> FeatureExpr:
             term = node
             node, negs = stack.pop()
         elif stack:
-            raise _error(text, tokens, i, "expected ')'")
+            raise _error(text, i, "expected ')'")
         elif i < last:
-            raise _error(text, tokens, i, "trailing input")
+            raise _error(text, i, "trailing input")
         else:
             return node
         for _ in range(negs):

@@ -58,13 +58,30 @@ def contingency(x: np.ndarray, y: np.ndarray) -> ContingencyTable:
     return ContingencyTable(a, b, c, x.size - a - b - c)
 
 
+BLOCK_BYTES = 1 << 18  # bytes a loop over blocks takes at a time: about an L2 cache
+
+
 def pack_columns(x: np.ndarray) -> np.ndarray:
     """(m, W) uint64 words of the columns of an (n, m) Boolean matrix,
     W = ceil(n / 64): row j holds column j as ``np.packbits`` bytes,
-    zero-padded to whole words, so every bit past row n is zero."""
-    packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
-    words = np.zeros((x.shape[1], -(-len(packed) // 8)), dtype=np.uint64)
-    words.view(np.uint8)[:, : len(packed)] = packed.T
+    zero-padded to whole words, so every bit past row n is zero.
+
+    ``np.packbits`` is fast only along a contiguous axis, so a block of
+    about ``BLOCK_BYTES`` of rows at a time is copied, transposed, into
+    one (m, rows) buffer and packed from there: a C-ordered matrix packs
+    as fast as an F-ordered one, which packs with no copy at all."""
+    n, m = x.shape
+    words = np.zeros((m, -(-n // 64)), dtype=np.uint64)
+    out = words.view(np.uint8)
+    if x.strides[0] == 1:  # F-ordered bools: each column is contiguous already
+        out[:, :-(-n // 8)] = np.packbits(x.T, axis=1)
+        return words
+    rows = max(64, BLOCK_BYTES // max(1, m) // 64 * 64)
+    buf = np.empty((m, min(rows, n)), dtype=bool)
+    for top in range(0, n, rows):
+        count = min(rows, n - top)
+        buf[:, :count] = x[top:top + count].T
+        out[:, top // 8:(top + count + 7) // 8] = np.packbits(buf[:, :count], axis=1)
     return words
 
 
@@ -99,9 +116,6 @@ def pack_segments(columns: np.ndarray, row_sets) -> tuple[np.ndarray, np.ndarray
     return pack_columns(bits.T), starts  # bits.T packs with no transposed copy
 
 
-_COOCCURRENCE_BLOCK_BYTES = 1 << 18  # bytes of AND-ed words per popcount call
-
-
 def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """(m, m) int64 joint true-counts of m bit-packed columns, an (m, W)
     uint64 array laid out as ``pack_columns`` makes it, padding bits zero:
@@ -115,12 +129,12 @@ def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndar
 
     A popcount over the words: exact for any n and single threaded.  Each
     popcount call counts a block of rows of the upper triangle at once, as
-    many as fit in a fixed budget of AND-ed words, and the block is
+    many as fit in ``BLOCK_BYTES`` of AND-ed words, and the block is
     mirrored below the diagonal: a small matrix takes one call, a large
     one about a row per call."""
     m = len(words)
     g = np.empty((m, m) if starts is None else (len(starts), m, m), dtype=np.int64)
-    step = max(1, _COOCCURRENCE_BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
+    step = max(1, BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
     for i in range(0, m, step):
         j = i + step
         counts = np.bitwise_count(words[i:j, None] & words[None, i:])

@@ -1,5 +1,7 @@
 import io
+import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,9 +165,16 @@ def test_unique_count_examples():
 
 
 @pytest.mark.parametrize("k", [2, 8, 9, 63, 64, 65, 130])
-@given(st.integers(1, 60), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+@given(
+    st.one_of(st.integers(1, 60), st.integers(60, 300)),
+    st.integers(1, 8),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    # a budget of 0 packs the rows 64 at a time, so the larger n span blocks
+    st.sampled_from([0, ds.BLOCK_BYTES]),
+)
 @settings(max_examples=40, deadline=None)
-def test_unique_count_equals_unique_rows(k, n, distinct, one_bit_apart, seed):
+def test_unique_count_equals_unique_rows(k, n, distinct, one_bit_apart, seed, budget):
     # rows drawn from a few patterns, so most rows repeat; patterns one bit
     # apart differ in a single column, in any byte or word of a packed row
     rng = np.random.default_rng(seed)
@@ -176,8 +185,24 @@ def test_unique_count_equals_unique_rows(k, n, distinct, one_bit_apart, seed):
         pool = rng.random((distinct, k)) < 0.5
     matrix = pool[rng.integers(0, distinct, n)]
     names = [f"f{j}" for j in range(k)]
-    assert unique_count(Dataset(names, matrix)) == len(np.unique(matrix, axis=0))
-    assert unique_count(Dataset(names, matrix[:1])) == 1
+    with mock.patch.object(ds, "BLOCK_BYTES", budget):
+        assert unique_count(Dataset(names, matrix)) == len(np.unique(matrix, axis=0))
+        assert unique_count(Dataset(names, matrix[:1])) == 1
+
+
+@pytest.mark.parametrize("budget", [0, ds.BLOCK_BYTES], ids=["64-rows", "default"])
+def test_unique_count_of_distinct_rows_across_blocks(budget):
+    n, k = 3 * 64 + 5, 70  # four 64-row blocks at a budget of 0; two words a row
+    rng = np.random.default_rng(5)
+    matrix = np.zeros((n, k), bool)
+    matrix[:, :10] = rng.permutation(1 << 10)[:n, None] >> np.arange(10) & 1  # distinct
+    matrix[:, 10:] = rng.random((n, k - 10)) < 0.5
+    names = [f"f{j}" for j in range(k)]
+    repeat = matrix.copy()
+    repeat[-1] = repeat[64]  # the last row repeats the first row of the second block
+    with mock.patch.object(ds, "BLOCK_BYTES", budget):
+        assert unique_count(Dataset(names, matrix)) == n
+        assert unique_count(Dataset(names, repeat)) == n - 1
 
 
 def test_unique_count_row_permutation_invariant():
@@ -324,15 +349,17 @@ IRREGULAR = {
 
 
 @given(
-    st.integers(1, 5),
+    st.one_of(st.integers(1, 5), st.integers(60, 200)),
     st.integers(2, 5),
     st.booleans(),
     st.booleans(),
     st.sampled_from([None, *IRREGULAR]),
+    # a budget of 0 loads 64 rows per block, so the larger files span blocks
+    st.sampled_from([0, ds.BLOCK_BYTES]),
     st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular, data):
+def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular, budget, data):
     matrix = data.draw(st.lists(
         st.lists(st.booleans(), min_size=k, max_size=k), min_size=n, max_size=n,
     ))
@@ -354,10 +381,10 @@ def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular,
     want = outcome(lambda: load_dataset(io.StringIO(raw.decode("utf-8-sig"))))
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         want_from_path = outcome(lambda: load_dataset(fh))
-    assert outcome(lambda: load_dataset(raw)) == want
-    assert outcome(lambda: load_dataset(str(path))) == want_from_path
-
-    fast = ds._load_regular(raw)
+    with mock.patch.object(ds, "BLOCK_BYTES", budget):
+        assert outcome(lambda: load_dataset(raw)) == want
+        assert outcome(lambda: load_dataset(str(path))) == want_from_path
+        fast = ds._load_regular(raw)
     if irregular is None:
         assert fast is not None and fast == want == want_from_path
     else:
@@ -373,6 +400,93 @@ def test_load_declines_header_only_and_empty_input():
         load_dataset(b"")
 
 
+K = 40
+
+
+def load_rows(crlf: bool) -> int:
+    """Rows per block of the loader on a regular file of K columns."""
+    return max(64, ds.BLOCK_BYTES // (2 * K + crlf) // 64 * 64)
+
+
+def regular_csv(n: int, crlf: bool = False, bom: bool = False):
+    """A seeded n-by-K matrix and its regular CSV bytes."""
+    matrix = np.random.default_rng(n).random((n, K)) < 0.5
+    eol = b"\r\n" if crlf else b"\n"
+    raw = b"".join(line + eol for line in csv_lines(matrix))
+    return matrix, (b"\xef\xbb\xbf" if bom else b"") + raw
+
+
+def names_of(matrix) -> list[str]:
+    return [f"f{j}" for j in range(matrix.shape[1])]
+
+
+BLOCK_BUDGETS = pytest.mark.parametrize("budget", [0, ds.BLOCK_BYTES], ids=["64-rows", "default"])
+
+
+@BLOCK_BUDGETS
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3 blocks, BOM + CRLF"])
+def test_load_at_block_bounds(budget, extra):
+    with mock.patch.object(ds, "BLOCK_BYTES", budget):
+        crlf = bom = isinstance(extra, str)
+        n = 3 * load_rows(crlf) + 17 if crlf else load_rows(crlf) + extra
+        matrix, raw = regular_csv(n, crlf, bom)
+        fast = ds._load_regular(raw)
+    assert fast is not None and fast == Dataset(names_of(matrix), matrix)
+    assert fast == load_dataset(io.StringIO(raw.decode("utf-8-sig")))
+
+
+def _bad_cell(lines, i):
+    lines[i] = b"2" + lines[i][1:]
+
+
+def _comma_for_line_end(lines, i):  # lines i and i + 1 become one record
+    lines[i:i + 2] = [lines[i] + b"," + lines[i + 1]]
+
+
+def _cr_for_line_end(lines, i):  # the csv module ends a line at a lone CR
+    lines[i:i + 2] = [lines[i] + b"\r" + lines[i + 1]]
+
+
+@BLOCK_BUDGETS
+@pytest.mark.parametrize("where", ["middle block", "last block"])
+@pytest.mark.parametrize("mutate, error", [
+    (_bad_cell, "non-binary cell '2'"),
+    (_comma_for_line_end, f"expected {K} cells, got {2 * K}"),
+    (_cr_for_line_end, None),
+])
+def test_load_falls_back_at_a_fault_in_one_block(budget, where, mutate, error):
+    with mock.patch.object(ds, "BLOCK_BYTES", budget):
+        rows = load_rows(False)
+        matrix, regular = regular_csv(3 * rows + 5)
+        lines = regular.split(b"\n")[:-1]
+        # line i (1-based: header first) holds data row i - 2
+        i = rows + rows // 2 if where == "middle block" else 3 * rows + 3
+        mutate(lines, i - 1)
+        raw = b"".join(line + b"\n" for line in lines)
+        assert len(raw) == len(regular)  # the same size: only one block differs
+        assert ds._load_regular(raw) is None
+        if error is None:
+            assert load_dataset(raw) == Dataset(names_of(matrix), matrix)
+        else:
+            with pytest.raises(DatasetError, match=f"^line {i}: {error}$"):
+                load_dataset(raw)
+
+
+def test_load_builds_no_full_size_temporary():
+    # a block's temporaries hold about twice BLOCK_BYTES whatever the file
+    # size, so the file is large enough for a quarter of it to exceed them
+    matrix, raw = regular_csv(50000)
+    assert len(raw) >= 1 << 20
+    tracemalloc.start()
+    try:
+        d = load_dataset(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == Dataset(names_of(matrix), matrix)
+    assert peak < len(raw) / 4, (peak, len(raw))
+
+
 # -- blocked writer against the per-row writer ---------------------------------
 
 
@@ -383,8 +497,8 @@ def per_row_dump(d: Dataset, out) -> None:
         out.write(",".join("1" if v else "0" for v in row) + "\n")
 
 
-WIDE = 300
-DUMP_ROWS = ds._DUMP_BLOCK_BYTES // (2 * WIDE) // 8 * 8  # rows per dump block
+WIDE = 75
+DUMP_ROWS = ds.BLOCK_BYTES // (2 * WIDE) // 8 * 8  # rows per dump block: 1744
 
 
 @pytest.mark.parametrize("n", [1, DUMP_ROWS - 1, DUMP_ROWS, DUMP_ROWS + 1])
@@ -401,7 +515,7 @@ def test_dump_equals_per_row_writer(n, order):
 
 def test_very_wide_dataset_dumps_in_eight_row_blocks():
     n, k = 21, 70000  # 2 * k bytes per row: the block floor of 8 rows applies
-    assert ds._DUMP_BLOCK_BYTES // (2 * k) < 8
+    assert ds.BLOCK_BYTES // (2 * k) < 8
     rng = np.random.default_rng(7)
     distinct = rng.random((5, k)) < 0.5
     matrix = distinct[rng.integers(0, len(distinct), n)]

@@ -74,6 +74,49 @@ def test_contingency_matches_row_loop(xbits, ybits):
     assert (t.a, t.b, t.c, t.d) == (a, b, c, d)
 
 
+# -- packing -----------------------------------------------------------------
+
+
+def _packbits_words(x: np.ndarray) -> np.ndarray:
+    """The words of x's columns from one ``np.packbits`` along the rows."""
+    packed = np.packbits(x, axis=0)  # (ceil(n / 8), m) bytes
+    words = np.zeros((x.shape[1], -(-len(packed) // 8)), dtype=np.uint64)
+    words.view(np.uint8)[:, : len(packed)] = packed.T
+    return words
+
+
+def _layouts(x: np.ndarray):
+    """x in every memory layout pack_columns may get, by name."""
+    wide = np.repeat(x, 2, axis=1)
+    layouts = {
+        "C": np.ascontiguousarray(x),
+        "F": np.asfortranarray(x),
+        "every third row": np.repeat(x, 3, axis=0)[::3],
+        "every second column": wide[:, ::2],
+        "every second column, F": np.asfortranarray(wide)[:, ::2],
+        "rows backwards": np.ascontiguousarray(x[::-1])[::-1],
+        "read-only C": np.array(x, order="C"),
+        "read-only F": np.array(x, order="F"),
+    }
+    layouts["read-only C"].setflags(write=False)
+    layouts["read-only F"].setflags(write=False)
+    return layouts
+
+
+BLOCK_ROWS = stats.BLOCK_BYTES // 7 // 64 * 64  # rows per packed block at m = 7
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_pack_columns_matches_packbits_in_every_layout(n):
+    x = np.random.default_rng(n).random((n, 7)) < 0.5
+    want = _packbits_words(x)
+    for name, view in _layouts(x).items():
+        before = view.copy()
+        got = pack_columns(view)
+        assert got.dtype == np.uint64 and np.array_equal(got, want), name
+        assert np.array_equal(view, before), name  # the input is never written
+
+
 # -- co-occurrence kernel ----------------------------------------------------
 
 
@@ -84,13 +127,13 @@ def _matmul_counts(x: np.ndarray) -> np.ndarray:
 def _block_height(x: np.ndarray) -> int:
     """Rows of the upper triangle that one popcount call counts."""
     words = x.shape[1] * 8 * -(-x.shape[0] // 64)  # bytes of packed columns
-    return max(1, stats._COOCCURRENCE_BLOCK_BYTES // max(1, words))
+    return max(1, stats.BLOCK_BYTES // max(1, words))
 
 
 @given(
     st.integers(0, 200),
     st.integers(1, 24),
-    st.sampled_from([0, 64, 200, 1000, stats._COOCCURRENCE_BLOCK_BYTES]),
+    st.sampled_from([0, 64, 200, 1000, stats.BLOCK_BYTES]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
@@ -99,7 +142,7 @@ def test_cooccurrence_matches_matmul(n, m, budget, seed):
     # a ragged last row count; n runs across byte and word boundaries
     rng = np.random.default_rng(seed)
     x = rng.random((n, m)) < rng.random(m)  # per-column density, constants too
-    with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
+    with mock.patch.object(stats, "BLOCK_BYTES", budget):
         g = cooccurrence(pack_columns(x))
     assert g.dtype == np.int64 and g.shape == (m, m)
     assert np.array_equal(g, _matmul_counts(x))
@@ -170,7 +213,7 @@ def test_single_word_segments_equal_the_reduce_path():
 @given(
     st.lists(st.integers(1, 200), min_size=1, max_size=6),
     st.integers(1, 20),
-    st.sampled_from([0, 64, 200, 1000, stats._COOCCURRENCE_BLOCK_BYTES]),
+    st.sampled_from([0, 64, 200, 1000, stats.BLOCK_BYTES]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
@@ -180,7 +223,7 @@ def test_segmented_cooccurrence_matches_matmul(sizes, m, budget, seed):
     words, starts, bounds = _segmented(x, sizes)
     packed, packed_starts = pack_segments(x, np.split(np.arange(len(x)), bounds[1:-1]))
     assert np.array_equal(packed, words) and np.array_equal(packed_starts, starts)
-    with mock.patch.object(stats, "_COOCCURRENCE_BLOCK_BYTES", budget):
+    with mock.patch.object(stats, "BLOCK_BYTES", budget):
         g = cooccurrence(words, starts)
         whole = cooccurrence(pack_columns(x))
     for s, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
