@@ -7,11 +7,11 @@ Grammar::
     factor := IDENT | '(' expr ')'
     IDENT  := IDENT_RE: a letter or '_', then letters, digits, '_' or '-'
 
-Expressions are immutable values.  Each node derives its text and its
-canonical form once, when it is built, and keeps them.  Canonical form
-removes double negations and orders the two operands of every
-conjunction by their canonical serialization, so equal expressions have
-byte-identical canonical text.
+Expressions are immutable values.  Each node derives its text, its
+canonical form and its set of distinct literals once, when it is built,
+and keeps them.  Canonical form removes double negations and orders the
+two operands of every conjunction by their canonical serialization, so
+equal expressions have byte-identical canonical text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .stats import row_mask, unpack_columns
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
-_LITERAL_RE = re.compile("!?" + IDENT_RE.pattern)
 
 
 class ExprError(ValueError):
@@ -48,20 +47,30 @@ class UnknownFeatureError(ExprError):
 
 
 # ``text`` is the deterministic, re-parseable rendering using '!', '&' and
-# parens; ``canonical`` is the canonical form.  Not and And derive both
-# when they are built, from their children's, which exist already because
-# every tree is built bottom-up; so no step recurses on depth.  Both live
-# in the instance ``__dict__``, not in dataclass fields.  ``text`` renders
-# the structure one to one, so it is an expression's identity: ``==``,
-# ``hash`` and ``repr`` read it, and the dataclasses generate none of them.
+# parens; ``canonical`` is the canonical form; ``literals`` is the frozenset
+# of distinct leaf literals, each a name or '!' and a name.  Not and And
+# derive all three when they are built, from their children's, which
+# exist already because every tree is built bottom-up; so no step recurses
+# on depth.  ``_derive`` stores them as plain instance attributes, not
+# dataclass fields.  A Not over a Not or an And adds no literal and shares
+# its grandchild's or child's set.  ``text`` renders the structure one to
+# one, so it is an expression's identity: ``==``, ``hash`` and ``repr``
+# read it, and the dataclasses generate none of them.
 # A node that is its own canonical form stores None, not itself: a node
 # that referred to itself would live on until the cycle collector ran.
 
 
+def _derive(node, text, canonical, literals) -> None:
+    """Store what a node derives.  Attribute by attribute, so CPython
+    keeps them in the instance's inline values and builds no dict."""
+    setattr_ = object.__setattr__
+    setattr_(node, "text", text)
+    setattr_(node, "_canonical", canonical)
+    setattr_(node, "literals", literals)
+
+
 class _Expr:
     """Base of Prim, Not and And: identity, hash and repr from ``text``."""
-
-    _canonical = None  # Prim: always its own canonical form
 
     @property
     def canonical(self) -> "FeatureExpr":
@@ -83,9 +92,8 @@ class _Expr:
 class Prim(_Expr):
     name: str
 
-    @property
-    def text(self) -> str:
-        return self.name
+    def __post_init__(self):
+        _derive(self, self.name, None, frozenset((self.name,)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -100,7 +108,13 @@ class Not(_Expr):
             form = form.child
         else:
             form = None if form is child else Not(form)
-        self.__dict__.update(text=text, _canonical=form)
+        if isinstance(child, Prim):
+            literals = frozenset(("!" + child.name,))
+        elif isinstance(child, Not):
+            literals = child.child.literals  # the double negation cancels
+        else:
+            literals = child.literals  # a conjunction resets the sign
+        _derive(self, text, form, literals)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -118,7 +132,8 @@ class And(_Expr):
         if left.text > right.text:
             left, right = right, left
         form = None if left is self.left and right is self.right else And(left, right)
-        self.__dict__.update(text=text, _canonical=form)
+        literals = self.left.literals | self.right.literals
+        _derive(self, text, form, literals)
 
 
 FeatureExpr = Union[Prim, Not, And]
@@ -221,24 +236,34 @@ def canonical_text(e: FeatureExpr) -> str:
     return e.canonical.text
 
 
+def negation(e: FeatureExpr) -> FeatureExpr:
+    """The canonical form of ``Not(e)``, built without the double
+    negation it would cancel."""
+    form = e.canonical
+    return form.child if isinstance(form, Not) else Not(form)
+
+
+def conjunction(left: FeatureExpr, right: FeatureExpr) -> FeatureExpr:
+    """The canonical form of ``And(left, right)``, built as one node: the
+    operands' canonical forms, in order."""
+    left, right = left.canonical, right.canonical
+    return And(left, right) if left.text <= right.text else And(right, left)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate_words(
-    exprs: Sequence[FeatureExpr], dataset, known: Iterable[tuple[str, np.ndarray]] = ()
-) -> np.ndarray:
+def evaluate_words(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
     """(m, W) uint64 truth words of ``exprs`` over every individual, laid
     out as ``stats.pack_columns`` makes them, padding bits zero.
 
     Each distinct canonical subexpression is computed once, as AND / NOT
     over the words of its operands; NOT is an XOR with the all-true
-    column's words, so the padding bits stay zero.  ``known`` seeds the
-    memo with (canonical text, words) pairs: an expression over them reads
-    no primitive column.  Members are walked in order, left operand first,
-    so the first unknown name is the one a member by member, left to
-    right evaluation meets first.
+    column's words, so the padding bits stay zero.  Members are walked in
+    order, left operand first, so the first unknown name is the one a
+    member by member, left to right evaluation meets first.
     """
-    memo = dict(known)  # canonical text -> words
+    memo = {}  # canonical text -> words
     ones = row_mask(dataset.n)
     out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
     for j, e in enumerate(exprs):
@@ -286,11 +311,10 @@ def literal_count(e: FeatureExpr) -> int:
     A primitive leaf under an odd run of negations counts as the negative
     literal; the same primitive inside a negated conjunction counts as
     positive, because a conjunction resets the sign.  Exact duplicates
-    collapse.  Canonical text has no double negation, so each literal is
-    one token there: a name, or '!' right before a name ('!(' opens a
-    negated conjunction, whose leaves start positive again).
+    collapse.  The size of the set ``literals`` the node derived when it
+    was built.
     """
-    return len(set(_LITERAL_RE.findall(e.canonical.text)))
+    return len(e.literals)
 
 
 # ---------------------------------------------------------------------------

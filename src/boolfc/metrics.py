@@ -12,7 +12,7 @@ import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
-from .stats import unpack_columns
+from .stats import row_mask, unpack_columns
 
 
 class MetricsError(ValueError):
@@ -25,6 +25,27 @@ class DuplicateFeatureError(MetricsError):
     def __init__(self, key: str, member: int):
         super().__init__(f"duplicate feature {key!r}")
         self.member = member
+
+
+def _operand_rows(e: ex.FeatureExpr, rows: dict) -> list[tuple[int, bool]]:
+    """(row, negated) of the member that each operand of ``e`` is or
+    negates, given each member's row by key; MetricsError unless ``e``
+    is, in canonical form, a conjunction of two members or negated
+    members."""
+    form = e.canonical
+    found = []
+    for operand in (form.left, form.right) if isinstance(form, ex.And) else ():
+        row = rows.get(operand.text)
+        if row is not None:
+            found.append((row, False))
+        elif (row := rows.get(ex.negation(operand).text)) is not None:
+            found.append((row, True))
+    if len(found) < 2:
+        raise MetricsError(
+            f"cannot extend with {ex.to_text(e)!r}: not a conjunction of two"
+            " members or negated members"
+        )
+    return found
 
 
 class FeatureSet:
@@ -43,36 +64,48 @@ class FeatureSet:
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
         if len(members) < 1:
             raise MetricsError("a feature set needs at least one member")
-        self.dataset = dataset
-        self.members, self.keys, self.literal_counts = (), (), ()
-        self.words = dataset.words[:0]
-        self._append(members, skip_duplicates=False)
-
-    def _append(self, new: Iterable[ex.FeatureExpr], skip_duplicates: bool):
-        seen = set(self.keys)
-        fresh: dict[str, ex.FeatureExpr] = {}  # key -> member, in order
-        for i, e in enumerate(new):
+        fresh = {}  # key -> member, in order
+        for i, e in enumerate(members):
             key = ex.canonical_text(e)
-            if key in seen or key in fresh:
-                if skip_duplicates:
-                    continue  # first occurrence wins
+            if key in fresh:
                 raise DuplicateFeatureError(key, i)
             fresh[key] = e
-        # a child of two members is one word operation on theirs
-        words = ex.evaluate_words(
-            tuple(fresh.values()), self.dataset, zip(self.keys, self.words)
-        )
-        self.members += tuple(fresh.values())
-        self.keys += tuple(fresh)
-        self.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        self.words = np.concatenate([self.words, words])
+        self.dataset = dataset
+        self.members = tuple(fresh.values())
+        self.keys = tuple(fresh)
+        self.literal_counts = tuple(ex.literal_count(e) for e in self.members)
+        self.words = ex.evaluate_words(self.members, dataset)
         self.words.setflags(write=False)
 
     def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":
         """A new set with the members of ``new`` whose key is not yet
-        present appended in order; only those are evaluated."""
+        present appended in order, the first occurrence of each key kept.
+
+        Each of ``new`` must be, in canonical form, a conjunction of two
+        members or negated members, as uFC and uFRINGE build them;
+        anything else raises MetricsError naming it.  The words of all the
+        appended members are computed in one pass of row operations over
+        ``words``: gather each operand's row, XOR the negated ones with
+        the all-true row's words, then AND the two.
+        """
+        rows = {key: row for row, key in enumerate(self.keys)}
+        fresh = {}  # key -> member, in order
+        operands = []  # (row, negated) of each fresh member's two operands
+        for e in new:
+            pair = _operand_rows(e, rows)
+            key = ex.canonical_text(e)
+            if key not in rows and key not in fresh:
+                fresh[key] = e
+                operands += pair
+        index, negated = np.array(operands, dtype=np.intp).reshape(-1, 2).T
+        words = self.words[index]  # rows 2i and 2i + 1: member i's operands
+        words[negated.astype(bool)] ^= row_mask(self.dataset.n)
         out = copy.copy(self)
-        out._append(new, skip_duplicates=True)
+        out.members += tuple(fresh.values())
+        out.keys += tuple(fresh)
+        out.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
+        out.words = np.concatenate([self.words, words[0::2] & words[1::2]])
+        out.words.setflags(write=False)
         return out
 
     def select(self, mask) -> "FeatureSet":

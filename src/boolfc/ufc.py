@@ -103,16 +103,16 @@ class RunResult:
 
 
 def pair_tables(fs: FeatureSet) -> tuple[np.ndarray, ...]:
-    """Contingency counts a, b, c, d of every pair i < j, four 1-D int64
-    arrays in ``np.triu_indices(fs.m, 1)`` order; a is the exact
-    ``cooccurrence`` of the members' words."""
+    """Every pair i < j and its contingency counts: six 1-D arrays i, j,
+    a, b, c, d in ``np.triu_indices(fs.m, 1)`` order, the counts int64;
+    a is the exact ``cooccurrence`` of the members' words."""
     g = cooccurrence(fs.words)
     i, j = np.triu_indices(fs.m, k=1)
     s = np.diagonal(g)
     a = g[i, j]
     b = s[i] - a
     c = s[j] - a
-    return a, b, c, fs.dataset.n - a - b - c
+    return i, j, a, b, c, fs.dataset.n - a - b - c
 
 
 def search_correlated_pairs(
@@ -121,8 +121,7 @@ def search_correlated_pairs(
     """All index pairs i < j with defined r strictly above the threshold,
     sorted by r descending then (i, j) ascending.  With pruning on, pairs
     failing the expected-frequency rule are excluded."""
-    a, b, c, d = pair_tables(fs)
-    i, j = np.triu_indices(fs.m, k=1)
+    i, j, a, b, c, d = pair_tables(fs)
     r = phi_coefficients(a, b, c, d)
     keep = r > threshold  # NaN (constant feature) is never a candidate
     if pruning:
@@ -138,13 +137,14 @@ def search_correlated_pairs(
 def construct_new_features(
     fi: ex.FeatureExpr, fj: ex.FeatureExpr
 ) -> tuple[ex.FeatureExpr, ex.FeatureExpr, ex.FeatureExpr]:
-    """The triple operator: fi&fj, !fi&fj, fi&!fj, in canonical form."""
+    """The triple operator: fi&fj, !fi&fj, fi&!fj, each built once, in
+    canonical form."""
     if ex.canonical_text(fi) == ex.canonical_text(fj):
         raise UfcError("cannot combine a feature with itself")
     return (
-        ex.canonicalize(ex.And(fi, fj)),
-        ex.canonicalize(ex.And(ex.Not(fi), fj)),
-        ex.canonicalize(ex.And(fi, ex.Not(fj))),
+        ex.conjunction(fi, fj),
+        ex.conjunction(ex.negation(fi), fj),
+        ex.conjunction(fi, ex.negation(fj)),
     )
 
 

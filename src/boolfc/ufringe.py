@@ -129,7 +129,7 @@ def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureEx
 
     def literal(feature_index: int, branch: bool) -> ex.FeatureExpr:
         member = fs.members[feature_index]
-        return member if branch else ex.Not(member)
+        return member if branch else ex.negation(member)
 
     # (node, the path's second-last edge, its last edge); an edge is
     # (feature index, branch taken)
@@ -140,7 +140,7 @@ def extract_fringe_features(tree: TreeNode, fs: FeatureSet) -> list[ex.FeatureEx
             stack.append((node.false_child, last, (node.split_feature, False)))
             stack.append((node.true_child, last, (node.split_feature, True)))
         elif prev is not None:
-            features.append(ex.canonicalize(ex.And(literal(*prev), literal(*last))))
+            features.append(ex.conjunction(literal(*prev), literal(*last)))
     return features
 
 

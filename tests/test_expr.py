@@ -18,11 +18,13 @@ from boolfc.expr import (
     UnknownFeatureError,
     canonical_text,
     canonicalize,
+    conjunction,
     dump_features,
     evaluate,
     evaluate_batch,
     literal_count,
     load_feature_file,
+    negation,
     parse,
     save_feature_file,
     to_text,
@@ -307,6 +309,11 @@ def ref_canonicalize(e):
 
 
 def ref_literal_count(e) -> int:
+    return len(ref_literals(e))
+
+
+def ref_literals(e) -> set:
+    """(name, sign) of each distinct leaf literal of the canonical form."""
     literals = set()
 
     def walk(node):
@@ -322,7 +329,7 @@ def ref_literal_count(e) -> int:
             walk(node.right)
 
     walk(ref_canonicalize(e))
-    return len(literals)
+    return literals
 
 
 def rebuild(e):
@@ -351,6 +358,7 @@ def check_against_references(e):
     assert c == ref_canonicalize(e)
     assert canonical_text(e) == ref_to_text(ref_canonicalize(e))
     assert literal_count(e) == ref_literal_count(e)
+    assert {(t.lstrip("!"), t[0] != "!") for t in e.literals} == ref_literals(e)
     for sub in subtrees(c):
         assert canonicalize(sub) is sub
     # identity is the text, so a fresh copy is equal, hashes and prints alike
@@ -374,6 +382,32 @@ _big_exprs = st.recursive(
 @settings(max_examples=500, deadline=None)
 def test_cached_text_matches_recursive_reference(e):
     check_against_references(e)
+
+
+@given(_big_exprs, _big_exprs)
+@settings(max_examples=200, deadline=None)
+def test_negation_and_conjunction_build_the_canonical_form(x, y):
+    assert negation(x) == canonicalize(Not(x))
+    assert conjunction(x, y) == canonicalize(And(x, y))
+    assert conjunction(negation(x), y) == canonicalize(And(Not(x), y))
+    for e in (negation(x), conjunction(x, y), conjunction(negation(x), y)):
+        assert canonicalize(e) is e
+        check_against_references(e)
+    # a canonical operand is used as it is, not rebuilt
+    both = conjunction(x, y)
+    assert {id(both.left), id(both.right)} == {id(x.canonical), id(y.canonical)}
+
+
+def test_literal_sets_are_shared_not_copied():
+    a = Prim("a")
+    e = parse("a & !b")
+    assert e.literals == {"a", "!b"} and Not(a).literals == {"!a"}
+    # a negated conjunction resets the sign, and a double negation cancels
+    assert Not(e).literals is e.literals
+    assert Not(Not(e)).literals is e.literals
+    assert Not(Not(a)).literals is a.literals
+    once = Not(a)
+    assert Not(Not(once)).literals is once.literals
 
 
 @pytest.mark.parametrize("text", ["a & b", "!a", "!(a & b) & c"])
@@ -444,6 +478,15 @@ def test_expressions_past_the_recursion_limit():
     text = "!(" * 2500 + "a" + " & b)" * 2500
     assert to_text(mixed) == text and canonical_text(mixed) == text
     assert canonicalize(mixed) is mixed and literal_count(mixed) == 2
+    # every node's literal set has at most the chain's two literals
+    stack = [negated, mixed]
+    while stack:
+        node = stack.pop()
+        assert len(node.literals) <= 2
+        if isinstance(node, Not):
+            stack.append(node.child)
+        elif isinstance(node, And):
+            stack += (node.left, node.right)
     for e in (negated, mixed):
         twin = parse(to_text(e))
         assert twin is not e and twin == e and hash(twin) == hash(e)

@@ -2,6 +2,7 @@
 fresh set of the same members, derive only what they add, and the uFC and
 uFRINGE loops built on them reproduce the rebuild-every-iteration loops."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -59,6 +60,7 @@ def assert_same_set(got: FeatureSet, want: FeatureSet):
     assert got.members == want.members
     assert got.keys == want.keys
     assert got.literal_counts == want.literal_counts
+    assert np.array_equal(got.words, want.words)
     assert got.extensions.dtype == want.extensions.dtype
     assert np.array_equal(got.extensions, want.extensions)
     assert not got.extensions.flags.writeable
@@ -70,9 +72,9 @@ class BatchCalls:
     def __init__(self, fn):
         self.fn, self.batches = fn, []
 
-    def __call__(self, exprs, dataset, *known):
+    def __call__(self, exprs, dataset):
         self.batches.append(list(exprs))
-        return self.fn(exprs, dataset, *known)
+        return self.fn(exprs, dataset)
 
 
 class TopLevelCalls:
@@ -91,26 +93,59 @@ class TopLevelCalls:
             self.depth -= 1
 
 
-@given(st.lists(exprs, min_size=1, max_size=6), st.lists(exprs, max_size=8))
+def negated(e, times):
+    for _ in range(times):
+        e = ex.Not(e)
+    return e
+
+
+@given(st.lists(exprs, min_size=1, max_size=6), st.data())
 @settings(max_examples=200, deadline=None)
-def test_extend_equals_fresh_set_and_derives_only_new_members(a, b):
+def test_extend_equals_fresh_set_and_derives_only_new_members(a, data):
     a = first_occurrences(a)
-    fs = FeatureSet(a, D)
-    before = (fs.members, fs.keys, fs.literal_counts, fs.extensions.copy())
-    new_in_b = first_occurrences(b, fs.keys)
+    # an operand is a member under 0 to 3 negations: 2 cancel, 3 negate
+    operand = st.tuples(st.integers(0, len(a) - 1), st.integers(0, 3))
+    pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=10))
+    children = [ex.And(negated(a[i], s), negated(a[j], t)) for (i, s), (j, t) in pairs]
+    if children:  # some drawn children again, so that keys repeat
+        children += data.draw(st.lists(st.sampled_from(children), max_size=4))
+    # a prefix of the children joins the set first, so their later
+    # repeats find the key present already
+    joined = data.draw(st.integers(0, len(children)))
+    members = first_occurrences(a + children[:joined])
+    fs = FeatureSet(members, D)
+    before = (fs.members, fs.keys, fs.literal_counts, fs.words.copy())
+    fresh = first_occurrences(children, fs.keys)
 
     evaluate = BatchCalls(ex.evaluate_words)
     literal_count = TopLevelCalls(ex.literal_count)
     with mock.patch.object(ex, "evaluate_words", evaluate), \
-            mock.patch.object(ex, "literal_count", literal_count):
-        grown = fs.extend(b)
-    assert evaluate.batches == [new_in_b]
-    assert literal_count.args == new_in_b
+            mock.patch.object(ex, "literal_count", literal_count), \
+            mock.patch.object(Dataset, "words", new_callable=mock.PropertyMock) as words:
+        grown = fs.extend(children)
+    assert evaluate.batches == []
+    assert words.call_count == 0
+    assert literal_count.args == fresh
 
-    assert_same_set(grown, FeatureSet(a + new_in_b, D))
+    assert_same_set(grown, FeatureSet(members + fresh, D))
     # the source set is left as it was
     assert (fs.members, fs.keys, fs.literal_counts) == before[:3]
-    assert np.array_equal(fs.extensions, before[3])
+    assert np.array_equal(fs.words, before[3])
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["d", "c", "!c", "!(a & b)", "a & c", "a & b & (c & d)", "!(a & b & c)"],
+)
+def test_extend_rejects_what_is_not_a_conjunction_of_signed_members(text):
+    # members are 'a & b', 'c' and '!d': 'd' is a negated member but no
+    # conjunction, and 'a' is neither a member nor a negated one
+    fs = FeatureSet([ex.parse(t) for t in ("a & b", "c", "!d")], D)
+    good = [ex.parse("!(a & b) & c"), ex.parse("c & d")]
+    with pytest.raises(MetricsError, match=re.escape(repr(text))):
+        fs.extend(good + [ex.parse(text)])
+    grown = fs.extend(good)
+    assert grown.keys == fs.keys + ("!(a & b) & c", "c & d")
 
 
 @given(st.lists(exprs, min_size=1, max_size=8), st.data())
@@ -342,8 +377,11 @@ def padding_bits(fs):
 def test_store_matches_bool_oracle_and_keeps_padding_zero(n):
     d = Dataset(NAMES, np.random.default_rng(n).random((n, len(NAMES))) < 0.5)
     fs = FeatureSet([ex.parse(t) for t in ("a & b", "!c", "!(a & d)")], d)
-    # a member's negation, and the negation of a negated member
-    grown = fs.extend([ex.Not(e) for e in fs.members] + [ex.parse("b")])
+    # every conjunction of two members or their negations: a negated
+    # member's negation, a member with its own negation (no support), and
+    # two negated operands, each a row XORed with the all-true row
+    signed = [e for member in fs.members for e in (member, ex.Not(member))]
+    grown = fs.extend([ex.And(x, y) for x in signed for y in signed])
     kept = grown.select(np.arange(grown.m) % 2 == 0)
     for got in (fs, grown, kept):
         want = np.column_stack([bool_oracle(e, d) for e in got.members])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolfc.dataset import Dataset
-from boolfc.expr import Not, Prim, canonical_text, evaluate, parse, to_text
+from boolfc.expr import And, Not, Prim, canonical_text, canonicalize, evaluate, parse, to_text
 from boolfc.metrics import FeatureSet, report
 from boolfc.stats import contingency, cooccurrence, pack_columns
 from boolfc.ufc import (
@@ -152,8 +152,10 @@ def test_pair_tables_match_contingency(n):
     members = [Prim(name) for name in d.feature_names]
     members += [parse("r0 & r1"), parse("!r2 & r3")]
     fs = FeatureSet(members, d)
-    tables = pair_tables(fs)
-    pairs = list(zip(*np.triu_indices(fs.m, k=1)))
+    i, j, *tables = pair_tables(fs)
+    want_i, want_j = np.triu_indices(fs.m, k=1)
+    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+    pairs = list(zip(want_i, want_j))
     assert len(tables) == 4
     assert all(v.shape == (len(pairs),) and v.dtype == np.int64 for v in tables)
     for (i, j), got in zip(pairs, zip(*tables)):
@@ -221,6 +223,17 @@ def test_construct_triple_shapes():
     assert to_text(both) == "cascade & water"
     assert to_text(not_i) == "!water & cascade"
     assert to_text(not_j) == "!cascade & water"
+
+
+@pytest.mark.parametrize("fi, fj", [
+    ("a", "b"), ("!a", "b"), ("a & b", "!c"), ("!(a & b)", "!!c & d"), ("b & a", "a"),
+])
+def test_construct_children_are_the_canonical_triple(fi, fj):
+    fi, fj = parse(fi), parse(fj)
+    children = construct_new_features(fi, fj)
+    want = [And(fi, fj), And(Not(fi), fj), And(fi, Not(fj))]
+    assert children == tuple(canonicalize(e) for e in want)
+    assert all(canonicalize(c) is c for c in children)
 
 
 def test_construct_rejects_identical():
