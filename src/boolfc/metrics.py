@@ -12,7 +12,7 @@ import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
-from .stats import row_mask, unpack_columns
+from .stats import cooccurrence, cross_counts, row_mask, unpack_columns
 
 
 class MetricsError(ValueError):
@@ -48,6 +48,83 @@ def _operand_rows(e: ex.FeatureExpr, rows: dict) -> list[tuple[int, bool]]:
     return found
 
 
+# Growing G costs a fixed 100 000 words' count per call, plus 2 words'
+# count per entry of the grown matrix, besides the bases it counts.  On
+# a 2-vCPU Xeon VM, growing alone took 150-210 us a call and 5-7 ns an
+# entry, and counting 3-6 ns a word (m = 20-320, W = 1-313); the fixed
+# cost is taken at twice that fit, because a run's last step grows
+# counts that are never read: over 945 paired steps of noise-S runs,
+# 50 000 spent 5% more than never growing, and 100 000 the same.
+_GROW_CALL_WORDS = 100_000
+_GROW_ENTRY_WORDS = 2
+
+
+def growing_gram_pays(m: int, q: int, p: int, kept: int, w: int) -> bool:
+    """Whether ``extend`` growing the co-occurrence matrix of m members by
+    q members with p distinct bases, all of w words, is estimated to cost
+    less than counting, from their words, the matrix of the ``kept``
+    members that the caller then selects, as the next read of ``gram``
+    would after ``drop_gram``."""
+    grow = w * (p * m + p * (p + 1) // 2) + _GROW_ENTRY_WORDS * (m + q) ** 2
+    return _GROW_CALL_WORDS + grow < w * kept * (kept + 1) // 2
+
+
+def _grown_gram(g, words, operands, negated, n) -> np.ndarray:
+    """The co-occurrence matrix of q members appended to m members whose
+    words are ``words`` and whose matrix is ``g``: member c is the AND of
+    rows i = ``operands[c, 0]`` and j = ``operands[c, 1]``, each negated
+    where ``negated[c]`` is 1.  Exact, and only the distinct bases
+    x_i & x_j are counted, against the m members and each other.
+
+    With ni, nj the two negation flags, member c is, as a 0/1 vector,
+    ni·nj·1 + nj(1 - 2ni)·x_i + ni(1 - 2nj)·x_j + (1 - 2ni)(1 - 2nj)·b
+    with b its base, for all four sign patterns.  So each of its counts
+    is a signed sum of at most four known counts: against member k, of
+    k's support, G[i, k], G[j, k] and b's count against k; against a
+    base, or against another appended member, the same sum over the
+    counts of that one.  Cost: p(m + p) counted entries for p distinct
+    bases, against (m + q)²/2 for a count from the words."""
+    m, q = len(g), len(operands)
+    i, j = operands.T
+    pairs, base = np.unique(np.minimum(i, j) * m + np.maximum(i, j), return_inverse=True)
+    base_words = words[pairs // m] & words[pairs % m]
+    h = cross_counts(base_words, words)  # (p, m): bases against members
+    k = cooccurrence(base_words)  # (p, p): bases against bases
+    sign = negated[:, 0] + 2 * negated[:, 1]
+    groups = [(s, rows) for s in range(4) if len(rows := np.flatnonzero(sign == s))]
+    out = np.empty((m + q, m + q), dtype=np.int64)
+    out[:m, :m] = g
+    _signed_sum(out[m:, :m], groups, i, j, base, np.diagonal(g), g, h)
+    out[:m, m:] = out[m:, :m].T
+    to_bases = _signed_sum(np.empty((q, len(pairs)), dtype=np.int64), groups, i, j,
+                           base, np.diagonal(k), h.T, k)
+    supports = _signed_sum(np.empty(q, dtype=np.int64), groups, i, j, base,
+                           n, np.diagonal(g), np.diagonal(k))
+    _signed_sum(out[m:, m:], groups, i, j, base, supports, out[:m, m:], to_bases.T)
+    return out
+
+
+def _signed_sum(out, groups, i, j, base, one, a, b) -> np.ndarray:
+    """Row c of ``out`` set to what member c counts against the columns
+    of ``a`` and ``b``, given, against the same columns, the counts of the
+    all-true row (``one``), of the rows of ``a`` and of the rows of ``b``:
+    b[base_c] for the sign pattern (ni, nj) = (0, 0), a[j_c] - b[base_c]
+    for (1, 0), a[i_c] - b[base_c] for (0, 1), and one - a[i_c] - a[j_c]
+    + b[base_c] for (1, 1).  ``groups`` lists each pattern present,
+    numbered ni + 2nj, with its rows; a group's rows are gathered once
+    and scattered once."""
+    for sign, rows in groups:
+        block = b[base[rows]]
+        if sign in (1, 2):
+            np.subtract(a[(j if sign == 1 else i)[rows]], block, out=block)
+        elif sign == 3:
+            block -= a[i[rows]]
+            block -= a[j[rows]]
+            block += one
+        out[rows] = block
+    return out
+
+
 class FeatureSet:
     """Ordered feature expressions bound to a dataset; read-only.
 
@@ -56,9 +133,10 @@ class FeatureSet:
     the constructor rejects duplicate keys, ``extend`` skips them, and
     ``extend`` and ``select`` reuse what they keep.  Extensions are kept
     as ``words``, an (m, W) uint64 array with one row of bit-packed words
-    per member (``stats.pack_columns``), and nothing else: ``extensions``
-    unpacks them on each read.
-    The dataset's own columns are the primitive set.
+    per member (``stats.pack_columns``): ``extensions`` unpacks them on
+    each read.  The members' co-occurrence matrix ``gram`` is counted
+    when first read, and from then on carried by ``extend`` and
+    ``select``.  The dataset's own columns are the primitive set.
     """
 
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
@@ -76,6 +154,7 @@ class FeatureSet:
         self.literal_counts = tuple(ex.literal_count(e) for e in self.members)
         self.words = ex.evaluate_words(self.members, dataset)
         self.words.setflags(write=False)
+        self._gram = None
 
     def extend(self, new: Iterable[ex.FeatureExpr]) -> "FeatureSet":
         """A new set with the members of ``new`` whose key is not yet
@@ -86,7 +165,9 @@ class FeatureSet:
         anything else raises MetricsError naming it.  The words of all the
         appended members are computed in one pass of row operations over
         ``words``: gather each operand's row, XOR the negated ones with
-        the all-true row's words, then AND the two.
+        the all-true row's words, then AND the two.  If this set carries
+        ``gram``, the new set carries its own, grown by ``_grown_gram``
+        without counting the appended members' words.
         """
         rows = {key: row for row, key in enumerate(self.keys)}
         fresh = {}  # key -> member, in order
@@ -106,10 +187,15 @@ class FeatureSet:
         out.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
         out.words = np.concatenate([self.words, words[0::2] & words[1::2]])
         out.words.setflags(write=False)
+        if self._gram is not None:
+            out._gram = _grown_gram(self._gram, self.words, index.reshape(-1, 2),
+                                    negated.reshape(-1, 2), self.dataset.n)
+            out._gram.setflags(write=False)
         return out
 
     def select(self, mask) -> "FeatureSet":
-        """A new set of the members where ``mask`` is true, in order."""
+        """A new set of the members where ``mask`` is true, in order; it
+        carries the sub-block of ``gram`` if this set carries ``gram``."""
         keep = np.flatnonzero(mask).tolist()
         if not keep:
             raise MetricsError("a feature set needs at least one member")
@@ -119,7 +205,26 @@ class FeatureSet:
         out.literal_counts = tuple(self.literal_counts[i] for i in keep)
         out.words = self.words[keep]
         out.words.setflags(write=False)
+        if self._gram is not None:
+            out._gram = self._gram[np.ix_(keep, keep)]
+            out._gram.setflags(write=False)
         return out
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Read-only (m, m) int64 co-occurrence matrix G of the members'
+        words, ``stats.cooccurrence``: G[i, j] counts the rows where
+        members i and j both hold.  Counted on first read and kept; from
+        then on ``extend`` and ``select`` carry it to the sets they return,
+        so a set that no caller reads it from never pays for it."""
+        if self._gram is None:
+            self._gram = cooccurrence(self.words)
+            self._gram.setflags(write=False)
+        return self._gram
+
+    def drop_gram(self) -> None:
+        """Forget ``gram``, which the next read counts again."""
+        self._gram = None
 
     @property
     def extensions(self) -> np.ndarray:

@@ -127,28 +127,59 @@ def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndar
     stack holding one such matrix per segment: the counts of several row
     sets, each packed from a word boundary, from one pass over the words.
 
+    ``cross_counts`` with both operands ``words``: only the blocks on and
+    above the diagonal are counted, and each is mirrored below it."""
+    return _popcount_blocks(words, None, starts)
+
+
+def cross_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(p, q) int64 joint true-counts of the columns in ``a`` against those
+    in ``b``, (p, W) and (q, W) uint64 arrays laid out as ``pack_columns``
+    makes them, padding bits zero: entry (i, j) is the number of rows
+    where column i of ``a`` and column j of ``b`` are both true.
+
     A popcount over the words: exact for any n and single threaded.  Each
-    popcount call counts a block of rows of the upper triangle at once, as
-    many as fit in ``BLOCK_BYTES`` of AND-ed words, and the block is
-    mirrored below the diagonal: a small matrix takes one call, a large
-    one about a row per call."""
-    m = len(words)
-    g = np.empty((m, m) if starts is None else (len(starts), m, m), dtype=np.int64)
-    step = max(1, BLOCK_BYTES // max(1, words.nbytes))  # n = 0: no words
-    for i in range(0, m, step):
-        j = i + step
-        counts = np.bitwise_count(words[i:j, None] & words[None, i:])
-        # the plain count stays its own path: as a one-segment stack
-        # (reduceat or a keepdims sum) it took 20-26% longer at 5000x240
-        # on a 2-vCPU Xeon VM (8.1 -> 10.3 ms), and tied at 20000x600
-        if starts is None:
-            g[i:j, i:] = counts.sum(axis=2)
-            g[i:, i:j] = g[i:j, i:].T
-            continue
-        if len(starts) < words.shape[1]:  # some segment spans several words
-            counts = np.add.reduceat(counts, starts, axis=2, dtype=np.int64)
-        g[:, i:j, i:] = np.moveaxis(counts, 2, 0)
-        g[:, i:, i:j] = g[:, i:j, i:].transpose(0, 2, 1)
+    popcount call counts one block of rows of ``a`` against a block of
+    rows of ``b``, as many rows of ``a`` against all of ``b`` as fit in
+    ``BLOCK_BYTES`` of AND-ed words; where one row against all of ``b``
+    does not fit, one row against as many rows of ``b`` as fit.  So a
+    small matrix takes one call, a large one a row or part of a row per
+    call, and a block's AND-ed words exceed ``BLOCK_BYTES`` only where one
+    pair's words do (n above 2^21 rows)."""
+    return _popcount_blocks(a, b, None)
+
+
+def _popcount_blocks(a, b, starts) -> np.ndarray:
+    """The one popcount loop: ``cross_counts`` of ``a`` against ``b``, or
+    with ``b`` None, ``cooccurrence`` of ``a`` (with ``starts``, segmented)."""
+    square = b is None
+    b = a if square else b
+    rows = max(1, BLOCK_BYTES // max(1, b.nbytes))  # n = 0: no words
+    cols = len(b) if b.nbytes <= BLOCK_BYTES else BLOCK_BYTES // (8 * b.shape[1])
+    cols = max(1, cols)
+    shape = (len(a), len(b)) if starts is None else (len(starts), len(a), len(b))
+    g = np.empty(shape, dtype=np.int64)
+    # a uint32 sum of the per-word counts is exact below 2^32 rows, and
+    # took 8-37% off a call at W = 79-1563 against the default uint64 one
+    # on a 2-vCPU Xeon VM
+    total = np.uint32 if a.shape[1] < 1 << 26 else np.uint64
+    for i in range(0, len(a), rows):
+        i2 = i + rows
+        for j in range(i if square else 0, len(b), cols):
+            j2 = j + cols
+            counts = np.bitwise_count(a[i:i2, None] & b[None, j:j2])
+            # the plain count stays its own path: as a one-segment stack
+            # (reduceat or a keepdims sum) it took 20-26% longer at 5000x240
+            # on a 2-vCPU Xeon VM (8.1 -> 10.3 ms), and tied at 20000x600
+            if starts is None:
+                g[i:i2, j:j2] = counts.sum(axis=2, dtype=total)
+                if square:
+                    g[j:j2, i:i2] = g[i:i2, j:j2].T
+                continue
+            if len(starts) < a.shape[1]:  # some segment spans several words
+                counts = np.add.reduceat(counts, starts, axis=2, dtype=np.int64)
+            g[:, i:i2, j:j2] = np.moveaxis(counts, 2, 0)
+            g[:, j:j2, i:i2] = g[:, i:i2, j:j2].transpose(0, 2, 1)
     return g
 
 
@@ -159,13 +190,19 @@ def phi_coefficients(a, b, c, d) -> np.ndarray:
     The numerator is exact in int64; the marginals are multiplied as
     float64 in the order row1 * row2 * col1 * col2, so a table gives the
     same bits alone or in an array.  NaN where a marginal is zero (a
-    constant feature), where r is undefined.
+    constant feature), where r is undefined.  The product is taken in
+    place, so at most one marginal exists at a time.
     """
     a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
-    m1, m2, m3, m4 = a + b, c + d, a + c, b + d
-    den = np.sqrt(m1.astype(np.float64) * m2 * m3 * m4)
+    den = np.array(a + b, dtype=np.float64)
+    den *= c + d
+    den *= a + c
+    den *= b + d
+    np.sqrt(den, out=den)
+    num = a * d
+    num -= b * c
     r = np.full(den.shape, np.nan)
-    np.divide((a * d - b * c).astype(np.float64), den, out=r, where=den > 0)
+    np.divide(num, den, out=r, where=den > 0)
     return r
 
 
@@ -174,10 +211,9 @@ def expected_counts_mask(a, b, c, d) -> np.ndarray:
     row_i * col_j / n, are >= 5.  The smallest is min(row) * min(col) / n,
     compared exactly in integers."""
     a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
-    n = a + b + c + d
     rows = np.minimum(a + b, c + d)
-    cols = np.minimum(a + c, b + d)
-    return rows * cols >= 5 * n
+    rows *= np.minimum(a + c, b + d)
+    return rows >= 5 * (a + b + c + d)
 
 
 def pearson_r(t: ContingencyTable) -> float:

@@ -2,17 +2,25 @@
 fresh set of the same members, derive only what they add, and the uFC and
 uFRINGE loops built on them reproduce the rebuild-every-iteration loops."""
 
+import json
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boolfc import expr as ex
+from boolfc import metrics, ufc
 from boolfc.dataset import Dataset, unique_count
-from boolfc.metrics import FeatureSet, MetricsError, overlapping_index_detail, report
+from boolfc.metrics import (
+    FeatureSet,
+    MetricsError,
+    growing_gram_pays,
+    overlapping_index_detail,
+    report,
+)
 from boolfc.stats import cooccurrence, lambda_from_risk
 from boolfc.ufc import (
     FixedMode,
@@ -395,3 +403,124 @@ def test_store_matches_bool_oracle_and_keeps_padding_zero(n):
         if got.m + null_added > 1:
             sum_p = float(np.count_nonzero(want)) / n + (n - covered) / n
             assert oi == (sum_p - 1.0) / (got.m + null_added - 1)
+
+
+# -- the carried co-occurrence matrix ------------------------------------------
+
+
+@given(st.integers(1, 130), st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=150, deadline=None)
+def test_carried_gram_equals_a_count_of_the_words(n, k, seed, data):
+    rng = np.random.default_rng(seed)
+    # densities 0 and 1 give constant columns, and so children of no support
+    x = rng.random((n, k)) < rng.choice([0.0, 0.3, 0.5, 1.0], k)
+    fs = FeatureSet.from_primitives(Dataset([f"f{j}" for j in range(k)], x))
+    fs.gram  # counted once, then carried by every step below
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            # an operand is a member under 0 to 3 negations, so every sign
+            # pattern comes up, and so do repeated pairs and a member
+            # against itself
+            operand = st.tuples(st.integers(0, fs.m - 1), st.integers(0, 3))
+            pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=10))
+            children = [ex.And(negated(fs.members[i], s), negated(fs.members[j], t))
+                        for (i, s), (j, t) in pairs]
+            fs = fs.extend(children)
+            if data.draw(st.booleans()):  # again: every key is present
+                fs = fs.extend(children)
+        else:
+            mask = data.draw(st.lists(st.booleans(), min_size=fs.m, max_size=fs.m))
+            mask[data.draw(st.integers(0, fs.m - 1))] = True
+            fs = fs.select(mask)
+        assert fs._gram is not None  # carried: the read below counts nothing
+        assert not fs.gram.flags.writeable
+        assert np.array_equal(fs.gram, cooccurrence(fs.words))
+
+
+def test_sets_count_no_gram_unless_asked():
+    # uFRINGE builds and extends sets, transform builds one: neither reads G
+    fs = FeatureSet.from_primitives(D)
+    with mock.patch.object(metrics, "cooccurrence", side_effect=AssertionError), \
+            mock.patch.object(metrics, "_grown_gram", side_effect=AssertionError):
+        grown = fs.extend([ex.parse("a & !b"), ex.parse("!c & !d")]).select([1, 1, 0, 1, 1, 1])
+        fringe = ufringe_run(DATASETS["gen-250x8-s2"](),
+                             UfringeConfig(max_features=40, min_leaf=5, max_depth=5))
+    assert grown.m == 5 and fringe.m > 8
+    # asked once, counted once, then carried; dropped, counted again
+    with mock.patch.object(metrics, "cooccurrence", wraps=cooccurrence) as count:
+        assert grown.gram is grown.gram
+        grown.drop_gram()
+        assert np.array_equal(grown.gram, cooccurrence(grown.words))
+    assert count.call_count == 2
+
+
+def recounting_pair_tables(fs):
+    """``pair_tables`` as it was before sets carried G: a count of the
+    words on every call."""
+    g = cooccurrence(fs.words)
+    i, j = np.triu_indices(fs.m, k=1)
+    s = np.diagonal(g)
+    a = g[i, j]
+    b = s[i] - a
+    c = s[j] - a
+    return i, j, a, b, c, fs.dataset.n - a - b - c
+
+
+@st.composite
+def correlated_datasets(draw):
+    """Noisy copies of a few latent columns, so that runs find pairs."""
+    n, k = draw(st.integers(20, 200)), draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    latent = rng.random((n, draw(st.integers(1, k)))) < rng.random()
+    noise = rng.random((n, k)) < rng.choice([0.0, 0.05, 0.2], k)
+    return Dataset([f"f{j}" for j in range(k)], latent[:, np.arange(k) % latent.shape[1]] ^ noise)
+
+
+RULES = {"grow": lambda *size: True, "count": lambda *size: False, "rule": growing_gram_pays}
+
+
+def run_json(d, cfg) -> str:
+    """The text of the ``run.json`` that ``boolfc construct`` writes."""
+    return json.dumps(ufc_run(d, cfg).to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans(),
+       st.sampled_from(list(RULES)))
+@settings(max_examples=120, deadline=None)
+def test_carried_run_writes_the_bytes_of_a_recounting_run(d, mode, pruning, rule):
+    assume(unique_count(d) > d.k)
+    cfg = UfcConfig(MODES[mode], candidate_pruning=pruning)
+    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
+        carried = run_json(d, cfg)
+    with mock.patch.object(ufc, "pair_tables", recounting_pair_tables):
+        assert run_json(d, cfg) == carried
+
+
+@pytest.mark.parametrize("rule", ["grow", "count"])
+def test_each_step_grows_or_counts_as_the_rule_says(rule):
+    d = DATASETS["gen-600x16-s1"]()
+    grow = mock.Mock(wraps=metrics._grown_gram)
+    count = mock.Mock(wraps=metrics.cooccurrence)
+    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]), \
+            mock.patch.object(metrics, "_grown_gram", grow), \
+            mock.patch.object(metrics, "cooccurrence", count):
+        result = ufc_run(d, UfcConfig(RiskMode(0.001)))
+    steps = len(result.logs) + (result.stop_reason == "fixpoint")
+    assert steps >= 3
+    if rule == "grow":  # the primitives are counted; each step grows
+        assert grow.call_count == steps
+        assert count.call_count == 1 + steps  # and counts its bases
+    else:  # each search counts its set
+        assert grow.call_count == 0
+        assert count.call_count == len(result.trajectory) - (result.stop_reason != "fixpoint")
+
+
+def test_growing_pays_on_wide_sets_and_not_on_small_ones():
+    # (m, q, p, kept, W) of steps of seed-0 runs of the benchmark's inputs
+    assert growing_gram_pays(242, 54, 18, 260, 79)  # M, the last step
+    assert growing_gram_pays(409, 258, 86, 495, 313)  # L, a middle step
+    assert not growing_gram_pays(20, 30, 10, 30, 32)  # S, the first step
+    assert not growing_gram_pays(12, 18, 6, 18, 5)  # 300 rows
+    # the words counted decide between the two at equal set sizes
+    assert not growing_gram_pays(100, 90, 30, 130, 32)
+    assert growing_gram_pays(100, 90, 30, 130, 313)

@@ -15,6 +15,7 @@ from boolfc.stats import (
     chi2_obs,
     contingency,
     cooccurrence,
+    cross_counts,
     expected_counts_ok,
     kendall_exact_pvalue,
     kendall_tau_test,
@@ -168,6 +169,61 @@ def test_cooccurrence_one_row_per_block():
     # float64 counts below 2**53 are exact and take the BLAS path
     want = (x.T.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
     assert np.array_equal(cooccurrence(pack_columns(x)), want)
+
+
+def _cross_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return x.T.astype(np.int64) @ y.astype(np.int64)
+
+
+@given(
+    st.sampled_from([0, 1, 63, 64, 65]) | st.integers(0, 300),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from([0, 64, 200, 1000, stats.BLOCK_BYTES]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_cross_counts_match_matmul(n, p, q, budget, seed):
+    # A and B differ in height and density, either may be empty, and the
+    # patched budgets cut them into one pair, a few pairs or whole rows
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, p)) < rng.random(p)
+    y = rng.random((n, q)) < rng.random(q)
+    with mock.patch.object(stats, "BLOCK_BYTES", budget):
+        h = cross_counts(pack_columns(x), pack_columns(y))
+    assert h.dtype == np.int64 and h.shape == (p, q)
+    assert np.array_equal(h, _cross_matmul(x, y))
+
+
+@pytest.mark.parametrize("budget", [0, stats.BLOCK_BYTES], ids=["one-pair", "default"])
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+def test_cross_counts_of_empty_operands(n, budget):
+    x = np.ones((n, 5), dtype=bool)
+    with mock.patch.object(stats, "BLOCK_BYTES", budget):
+        for p, q in [(0, 0), (0, 5), (5, 0), (5, 5)]:
+            h = cross_counts(pack_columns(x[:, :p]), pack_columns(x[:, :q]))
+            assert h.dtype == np.int64 and np.array_equal(h, np.full((p, q), n))
+
+
+def test_blocks_stay_within_block_bytes():
+    # one row against all 300 (300 * 632 bytes) is over the budget, so
+    # each popcount call counts one row against as many as fit
+    x = np.random.default_rng(3).random((5000, 300)) < 0.3
+    words = pack_columns(x)
+    sizes = []
+    count = np.bitwise_count
+
+    def spy(a):
+        sizes.append(a.nbytes)
+        return count(a)
+
+    with mock.patch.object(stats, "BLOCK_BYTES", 20_000), \
+            mock.patch.object(stats.np, "bitwise_count", spy):
+        g = cooccurrence(words)
+        h = cross_counts(words[:7], words)
+    assert max(sizes) <= 20_000 and len(sizes) > 300
+    want = (x.T.astype(np.float64) @ x.astype(np.float64)).astype(np.int64)
+    assert np.array_equal(g, want) and np.array_equal(h, want[:7])
 
 
 def _segmented(x: np.ndarray, sizes):
