@@ -143,8 +143,6 @@ def mangle_name(text: str, taken: set[str]) -> str:
         .replace("(", "lp-")
         .replace(")", "-rp")
     )
-    if not name or not (name[0].isalpha() or name[0] == "_"):
-        name = "f_" + name
     base = name
     suffix = 2
     while name in taken:

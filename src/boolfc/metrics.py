@@ -1,4 +1,6 @@
-"""Feature-set quality and complexity measures: OI, C0, C1, RMS."""
+"""Feature-set quality and complexity measures: OI, C0, C1, RMS; and
+FeatureSet, with the growth of its co-occurrence matrix G (``_grown_gram``,
+``growing_gram_pays``)."""
 
 from __future__ import annotations
 

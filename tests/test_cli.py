@@ -7,10 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolfc.cli import main, mangle_name
 from boolfc.dataset import Dataset, load_dataset, save_dataset
-from boolfc.expr import load_feature_file, parse, to_text
+from boolfc.expr import (
+    IDENT_RE,
+    And,
+    Not,
+    Prim,
+    canonical_text,
+    load_feature_file,
+    parse,
+    to_text,
+)
 from boolfc.metrics import FeatureSet
 from boolfc.noise import NOISE_CSV_HEADER
 
@@ -216,6 +227,8 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     err = capsys.readouterr().err
     line = 2 if "huge" in case else 3 if "nan-cell" in case else None
     assert err.startswith(f"error: line {line}: " if line else "error: ")
+    if case == "noise-fraction-above-1":  # the message names the fraction
+        assert "1.5" in err
     assert sorted(out.iterdir()) == before
 
 
@@ -330,6 +343,26 @@ def test_metrics_command(toy_csv, tmp_path, capsys):
     assert out.read_bytes() == printed.encode()
 
 
+@pytest.mark.parametrize("algorithm", [["--risk", "0.001"], ["--algorithm", "ufringe"]],
+                         ids=["ufc-risk", "ufringe"])
+def test_metrics_of_a_runs_features_are_its_final_metrics(algorithm, tmp_path):
+    # noisier and noisier copies of one column: the risk run stops at the
+    # RMS minimum, where the features are those of the step before the last
+    rng = np.random.default_rng(0)
+    base = rng.random(200) < 0.5
+    csv = str(tmp_path / "chain.csv")
+    save_dataset(Dataset([f"f{i}" for i in range(4)], np.column_stack(
+        [base ^ (rng.random(200) < 0.1 + 0.05 * i) for i in range(4)])), csv)
+    out = str(tmp_path / "run")
+    assert main(["construct", csv, *algorithm, "--out", out]) == 0
+    run = json.loads(read_bytes(out + ".run.json"))
+    if "--risk" in algorithm:
+        assert run["stop_reason"] == "rms_minimum"
+    assert main(["metrics", csv, "--features", out + ".features.txt",
+                 "--out", str(tmp_path / "metrics.json")]) == 0
+    assert json.loads(read_bytes(tmp_path / "metrics.json")) == run["final_metrics"]
+
+
 def test_metrics_names_the_line_of_a_bad_feature(toy_csv, tmp_path, capsys):
     feats = tmp_path / "bad.txt"
     feats.write_text("# features\nw & x\n\n  !(a & @)\nz\n")
@@ -384,14 +417,59 @@ def test_metrics_reads_a_feature_nested_past_the_recursion_limit(
 
 
 def test_transform_roundtrips_and_matches_extensions(toy_csv, tmp_path):
+    # lines 3 and 4 repeat line 1's group, which the file builds once;
+    # each column still equals its line parsed alone
+    lines = ["w & x", "!w & x", "y & (w & x)", "!(w & x) & y", "y", "z"]
     feats = tmp_path / "f.txt"
-    feats.write_text("w & x\n!w & x\ny\nz\n")
+    feats.write_text("".join(line + "\n" for line in lines))
     out = str(tmp_path / "tf.csv")
     assert main(["transform", toy_csv, "--features", str(feats), "--out", out]) == 0
     transformed = load_dataset(out)
     d = load_dataset(toy_csv)
-    fs = FeatureSet([parse(s) for s in ["w & x", "!w & x", "y", "z"]], d)
+    fs = FeatureSet([parse(s) for s in lines], d)
     assert np.array_equal(transformed.matrix, fs.extensions)
+
+
+@pytest.mark.parametrize("n, k", [(300, 3), (20000, 40)])
+def test_transform_by_the_primitives_writes_the_dataset_back(n, k, tmp_path):
+    """The primitives give a CSV back byte for byte, read as it is, as a
+    BOM + CRLF copy, and as that copy with a blank line, which goes
+    through the strict parser.  300 rows end in a partial byte and a
+    partial 64-bit word; 20000 x 40 spans several load and dump blocks."""
+    names = [f"f{j}" for j in range(k)]
+    plain = tmp_path / "plain.csv"
+    save_dataset(Dataset(names, np.random.default_rng(n).random((n, k)) < 0.5), str(plain))
+    feats = tmp_path / "prims.txt"
+    feats.write_text("".join(name + "\n" for name in names))
+    want = plain.read_bytes()
+    crlf = b"\xef\xbb\xbf" + want.replace(b"\n", b"\r\n")
+    head, eol, body = crlf.partition(b"\r\n")
+    for i, raw in enumerate((want, crlf, head + eol + eol + body)):
+        source, out = tmp_path / f"in{i}.csv", tmp_path / f"out{i}.csv"
+        source.write_bytes(raw)
+        assert main(["transform", str(source), "--features", str(feats),
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == want, i
+
+
+def test_module_run_exits_0_1_and_2(toy_csv, tmp_path):
+    """``python -m boolfc.cli`` exits with ``main``'s code: 0 on success,
+    1 with an ``error: `` line on a module error, 2 on flag misuse."""
+    out = str(tmp_path / "run")
+    for argv, code in ((["construct", toy_csv, "--risk", "0.001", "--out", out], 0),
+                       (["metrics", toy_csv, "--features", out + ".nope.txt"], 1),
+                       (["construct", toy_csv, "--out", out], 2)):
+        done = subprocess.run([sys.executable, "-m", "boolfc.cli", *argv],
+                              env=cli_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == code, done.stderr
+        if code == 0:
+            assert set(json.loads(done.stdout)) == {"oi", "c0", "c1", "rms", "m",
+                                                    "null_added"}
+        elif code == 1:
+            assert done.stderr.startswith("error: ")
+        else:
+            assert "usage: boolfc" in done.stderr
 
 
 def test_noise_and_sweep_pass_only_the_flags_given(toy_csv, tmp_path, monkeypatch):
@@ -455,31 +533,21 @@ def test_commands_never_import_numpy_ma(toy_csv, tmp_path):
     assert lines[-1] == "False"
 
 
-def test_determinism_byte_identical(toy_csv, tmp_path):
-    pairs = []
-    for tag in ("one", "two"):
-        prefix = str(tmp_path / f"c_{tag}")
-        main(["construct", toy_csv, "--risk", "0.01", "--out", prefix])
-        sweep_out = str(tmp_path / f"s_{tag}.csv")
-        main(["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", "0.3",
-              "--lambda-step", "0.1", "--iters-max", "3", "--out", sweep_out])
-        noise_out = str(tmp_path / f"n_{tag}.csv")
-        main(["noise", toy_csv, "--pcts", "0,0.1", "--replicates", "2",
-              "--seed", "7", "--out", noise_out])
-        pairs.append((
-            read_bytes(prefix + ".features.txt"),
-            read_bytes(prefix + ".run.json"),
-            read_bytes(sweep_out),
-            read_bytes(noise_out),
-        ))
-    assert pairs[0] == pairs[1]
+NAMES = ["a", "b", "a-and-b", "not-a", "lp-b-rp"]  # the last three: mangled texts
 
 
-def test_mangled_names_are_valid_identifiers():
-    from boolfc.expr import IDENT_RE
-
-    taken = set()
-    for text in ["a & b", "!a & b", "!(a & b) & c", "!x", "a-and-b"]:
-        name = mangle_name(text, taken)
-        assert IDENT_RE.fullmatch(name), name
-    assert len(taken) == 5
+@given(st.lists(st.recursive(
+    st.sampled_from(NAMES).map(Prim),
+    lambda inner: st.one_of(inner.map(Not), st.tuples(inner, inner).map(lambda lr: And(*lr))),
+    max_leaves=5,
+)))
+@settings(max_examples=300, deadline=None)
+def test_mangled_names_are_distinct_identifiers(exprs):
+    # the primitives, then random features, each key once, as transform
+    # names the columns of a feature file's set
+    members = {canonical_text(e): e for e in [*map(Prim, NAMES), *exprs]}
+    fs = FeatureSet(list(members.values()), Dataset(NAMES, np.zeros((1, len(NAMES)), dtype=bool)))
+    taken: set[str] = set()
+    names = [mangle_name(key, taken) for key in fs.keys]
+    assert all(IDENT_RE.fullmatch(name) for name in names), names
+    assert len(set(names)) == fs.m

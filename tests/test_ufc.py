@@ -1,12 +1,37 @@
+import json
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_featureset_store import MODES, RULES, correlated_datasets
 
+from boolfc import ufc
 from boolfc.dataset import Dataset
-from boolfc.expr import And, Not, Prim, canonical_text, canonicalize, evaluate, parse, to_text
-from boolfc.metrics import FeatureSet, report
-from boolfc.stats import contingency, cooccurrence, pack_columns
+from boolfc.expr import (
+    And,
+    Not,
+    Prim,
+    canonical_text,
+    canonicalize,
+    conjunction,
+    evaluate,
+    negation,
+    parse,
+    to_text,
+)
+from boolfc.metrics import FeatureSet, MetricsError, report
+from boolfc.stats import (
+    DegenerateTableError,
+    contingency,
+    cooccurrence,
+    expected_counts_ok,
+    lambda_from_risk,
+    pack_columns,
+    pearson_r,
+)
 from boolfc.ufc import (
     CandidatePair,
     FixedMode,
@@ -481,3 +506,130 @@ def test_monotone_oi_and_c0_along_random_runs():
             assert 0.0 <= cur.oi <= 1.0
             assert cur.oi < prev.oi + 1e-12
             assert cur.c0 >= prev.c0 - 1e-12
+
+
+# -- whole-run oracle ----------------------------------------------------
+
+
+def literals(e) -> set[str]:
+    """The distinct signed leaves of ``e``: a negated conjunction resets
+    the sign, and a double negation cancels."""
+    if isinstance(e, Prim):
+        return {e.name}
+    if isinstance(e, And):
+        return literals(e.left) | literals(e.right)
+    child = e.child
+    if isinstance(child, Prim):
+        return {"!" + child.name}
+    return literals(child.child if isinstance(child, Not) else child)
+
+
+def oracle_report(d: Dataset, columns: list, members: list) -> dict:
+    """``asdict(report(fs))`` from the bool columns of the members."""
+    n, k, m = d.n, d.k, len(members)
+    sum_p = float(sum(int(col.sum()) for col in columns)) / n
+    uncovered = n - int(np.logical_or.reduce(columns).sum())
+    null_added = uncovered > 0  # the virtual feature that covers them
+    if null_added:
+        sum_p += uncovered / n
+    if m + null_added < 2:
+        raise MetricsError("one feature")
+    oi = (sum_p - 1.0) / (m + null_added - 1)
+    if m == k and {canonical_text(e) for e in members} == set(d.feature_names):
+        c0 = 0.0
+    else:
+        c0 = max((m - k) / (len({row.tobytes() for row in d.matrix}) - k), 0.0)
+    c1 = sum(len(literals(e)) for e in members) / m
+    return {"oi": oi, "c0": c0, "c1": c1, "rms": math.sqrt((oi * oi + c0 * c0) / 2.0),
+            "m": m, "null_added": null_added}
+
+
+def oracle_run_json(d: Dataset, cfg: UfcConfig) -> dict:
+    """``ufc_run(d, cfg).to_json_dict()`` from a plain loop over bool
+    columns: one contingency table per pair, the scalar r and
+    expected-count rule, greedy disjoint pairs by r descending, the
+    triple operator, then pruning."""
+    if len({row.tobytes() for row in d.matrix}) <= d.k:
+        raise UfcError("degenerate dataset")
+    risk = isinstance(cfg.mode, RiskMode)
+    threshold = lambda_from_risk(cfg.mode.alpha, d.n) if risk else cfg.mode.threshold
+    limit = cfg.mode.hard_cap if risk else cfg.mode.limit_iter
+    members = [Prim(name) for name in d.feature_names]
+    columns = [d.column(name) for name in d.feature_names]
+    trajectory = [oracle_report(d, columns, members)]
+    constructed, pruned = [], []
+    while True:
+        pairs = []
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                t = contingency(columns[i], columns[j])
+                try:
+                    r = pearson_r(t)
+                except DegenerateTableError:
+                    continue
+                if r > threshold and (expected_counts_ok(t) or not cfg.pruning):
+                    pairs.append((-r, i, j))
+        used = set()
+        new_members, new_columns = list(members), list(columns)
+        keys = [canonical_text(e) for e in members]
+        for _, i, j in sorted(pairs):
+            if i in used or j in used:
+                continue
+            used.update((i, j))
+            fi, fj, xi, xj = members[i], members[j], columns[i], columns[j]
+            for child, col in ((conjunction(fi, fj), xi & xj),
+                               (conjunction(negation(fi), fj), ~xi & xj),
+                               (conjunction(fi, negation(fj)), xi & ~xj)):
+                if canonical_text(child) not in keys:
+                    keys.append(canonical_text(child))
+                    new_members.append(child)
+                    new_columns.append(col)
+        parents = {keys[i] for i in used}
+        keep = [col.any() and key not in parents for key, col in zip(keys, new_columns)]
+        if not any(keep):
+            raise UfcError("pruning removed every feature")
+        if [key for key, kept in zip(keys, keep) if kept] == keys[:len(members)]:
+            stop = "fixpoint"
+            break
+        constructed.append(keys[len(members):])
+        pruned.append([key for key, kept in zip(keys, keep) if not kept])
+        previous = members
+        members = [e for e, kept in zip(new_members, keep) if kept]
+        columns = [col for col, kept in zip(new_columns, keep) if kept]
+        trajectory.append(oracle_report(d, columns, members))
+        if risk and trajectory[-1]["rms"] > trajectory[-2]["rms"]:
+            stop, members = "rms_minimum", previous
+            break
+        if len(trajectory) - 1 >= limit:
+            stop = "hard_cap" if risk else "iter_limit"
+            break
+    return {
+        "threshold": threshold,
+        "stop_reason": stop,
+        "iterations": len(trajectory) - 1,
+        "features": [to_text(e) for e in members],
+        "final_metrics": trajectory[-2 if stop == "rms_minimum" else -1],
+        "trajectory": trajectory,
+        "constructed": constructed,
+        "pruned": pruned,
+    }
+
+
+def json_text(run: dict) -> str:
+    """The text ``boolfc construct`` writes for a ``run.json`` dict."""
+    return json.dumps(run, sort_keys=True, indent=2) + "\n"
+
+
+@given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans(),
+       st.sampled_from(list(RULES)))
+@settings(max_examples=300, deadline=None)
+def test_run_writes_the_bytes_of_a_plain_loop(d, mode, pruning, rule):
+    cfg = UfcConfig(MODES[mode], candidate_pruning=pruning)
+    try:
+        want = json_text(oracle_run_json(d, cfg))
+    except ValueError as err:
+        with pytest.raises(type(err)):
+            ufc_run(d, cfg)
+        return
+    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
+        assert json_text(ufc_run(d, cfg).to_json_dict()) == want
