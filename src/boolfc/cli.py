@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pareto(args) -> int:
-    with open(args.infile, "r", encoding="utf-8-sig") as fh:
+    with ex.open_text(args.infile, ValueError) as fh:
         sols = read_sweep_csv(fh)
     front = pareto_front(sols)
     best = closest_point(sols)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-from .expr import IDENT_RE
+from .expr import IDENT_RE, utf8_error
 from .stats import BLOCK_BYTES, pack_columns, row_mask, unpack_columns
 
 
@@ -140,7 +140,11 @@ def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
     d = _load_regular(raw)
     if d is not None:
         return d
-    return _load_strict(io.StringIO(raw.decode("utf-8-sig"), newline=""))
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        raise DatasetError(utf8_error(raw)) from None
+    return _load_strict(io.StringIO(text, newline=""))
 
 
 def _load_regular(raw: bytes) -> Dataset | None:

@@ -17,6 +17,7 @@ equal expressions have byte-identical canonical text.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO, Union
 
@@ -360,9 +361,36 @@ class FeatureFile(list):
             self.lines.append(lineno)
 
 
+def utf8_error(raw: bytes) -> str:
+    """``line N: ...`` naming the first byte of ``raw`` that is not UTF-8,
+    for bytes that do not decode.  N is 1-based; LF, CRLF and a lone CR
+    each end a line.  It is found in the bytes themselves, because the
+    offset of a decoder's error is not the byte's: after a byte-order mark
+    it counts from the mark's end, and a text stream decodes in chunks."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = raw[:err.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return f"line {line}: byte 0x{raw[err.start]:02x} is not UTF-8 ({err.reason})"
+
+
+@contextmanager
+def open_text(path, error: type[Exception]):
+    """``path`` opened as UTF-8 text, with or without a byte-order mark; a
+    byte that does not decode raises ``error`` with ``utf8_error``'s
+    message."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            raise error(utf8_error(fh.read())) from None
+
+
 def load_feature_file(path) -> FeatureFile:
     """Parse a feature file, with or without a UTF-8 byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open_text(path, ExprError) as fh:
         return FeatureFile(fh)
 
 

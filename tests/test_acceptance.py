@@ -12,10 +12,11 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import brute_front, brute_oi, ref_evaluate, textbook_chi2
 
 from boolfc.cli import main as cli_main
 from boolfc.dataset import Dataset, load_dataset, save_dataset, unique_count
-from boolfc.expr import And, Not, Prim, parse
+from boolfc.expr import parse
 from boolfc.metrics import FeatureSet, overlapping_index, avg_length_c1
 from boolfc.noise import noise_experiment
 from boolfc.pareto import Solution, closest_point, pareto_front, sweep
@@ -73,18 +74,6 @@ def test_criterion_1_lambda_from_risk():
 # -- 2. chi-square identity ---------------------------------------------------
 
 
-def textbook_chi2(t: ContingencyTable) -> float:
-    n = t.a + t.b + t.c + t.d
-    obs = [t.a, t.b, t.c, t.d]
-    exp = [
-        (t.a + t.b) * (t.a + t.c) / n,
-        (t.a + t.b) * (t.b + t.d) / n,
-        (t.c + t.d) * (t.a + t.c) / n,
-        (t.c + t.d) * (t.b + t.d) / n,
-    ]
-    return sum((o - e) ** 2 / e for o, e in zip(obs, exp))
-
-
 def test_criterion_2_chi2_identity():
     with criterion(2):
         rng = np.random.default_rng(42)
@@ -98,15 +87,6 @@ def test_criterion_2_chi2_identity():
 
 
 # -- 3. construction partition property --------------------------------------
-
-
-def eval_row(e, row: dict) -> bool:
-    if isinstance(e, Prim):
-        return row[e.name]
-    if isinstance(e, Not):
-        return not eval_row(e.child, row)
-    assert isinstance(e, And)
-    return eval_row(e.left, row) and eval_row(e.right, row)
 
 
 def test_criterion_3_partition_property():
@@ -123,13 +103,10 @@ def test_criterion_3_partition_property():
             if rng.random() < 0.3 and k >= 3:
                 other = names[int(rng.integers(0, k))]
                 fi = parse(f"!{names[i]} & {other}")
-            children = construct_new_features(fi, fj)
-            for row_vals in d.matrix:
-                row = dict(zip(names, (bool(v) for v in row_vals)))
-                parents = eval_row(fi, row) or eval_row(fj, row)
-                bits = [eval_row(c, row) for c in children]
-                assert sum(bits) <= 1  # pairwise disjoint
-                assert any(bits) == parents  # union preserved
+            bits = [ref_evaluate(c, d) for c in construct_new_features(fi, fj)]
+            assert (np.sum(bits, axis=0) <= 1).all()  # pairwise disjoint
+            parents = ref_evaluate(fi, d) | ref_evaluate(fj, d)
+            assert np.array_equal(np.any(bits, axis=0), parents)  # union preserved
             checked += 1
 
 
@@ -154,32 +131,6 @@ def test_criterion_4_trajectory_monotonicity():
 
 
 # -- 5. oracle equivalence, small scale ----------------------------------------
-
-
-def brute_oi(fs: FeatureSet) -> float:
-    n = fs.dataset.n
-    rows = fs.extensions.tolist()
-    sum_p = sum(sum(r) for r in rows) / n
-    uncovered = sum(1 for r in rows if not any(r))
-    m = fs.m
-    if uncovered:
-        sum_p += uncovered / n
-        m += 1
-    return (sum_p - 1) / (m - 1)
-
-
-def brute_front(sols):
-    out, seen = [], set()
-    for s in sols:
-        if any(
-            o.oi <= s.oi and o.c0 <= s.c0 and (o.oi < s.oi or o.c0 < s.c0)
-            for o in sols
-        ):
-            continue
-        if (s.oi, s.c0) not in seen:
-            seen.add((s.oi, s.c0))
-            out.append(s)
-    return sorted(out, key=lambda s: (s.oi, s.c0))
 
 
 def brute_kendall_p(x, y):
@@ -222,7 +173,7 @@ def test_criterion_5_small_scale_oracles():
             names = [f"f{i}" for i in range(k)]
             d = Dataset(names, rng.random((n, k)) < rng.random())
             fs = FeatureSet.from_primitives(d)
-            assert overlapping_index(fs) == pytest.approx(brute_oi(fs), abs=1e-12)
+            assert overlapping_index(fs) == pytest.approx(brute_oi(d.matrix)[0], abs=1e-12)
             assert avg_length_c1(fs) == 1.0
             assert unique_count(d) == len({tuple(r) for r in d.matrix.tolist()})
         # C1 on hand-composed features

@@ -392,6 +392,33 @@ def test_feature_file_member_errors_name_their_line(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("bad, eol, bom", [(1, b"\n", b""), (3, b"\n", b""),
+                                          (3, b"\r\n", b"\xef\xbb\xbf"), (3, b"\r", b"")],
+                         ids=["header", "line-3", "bom-crlf", "lone-cr"])
+@pytest.mark.parametrize("given", ["dataset", "features", "sweep"])
+def test_a_byte_that_is_not_utf8_names_its_line(given, bad, eol, bom, toy_csv, tmp_path,
+                                                capsys):
+    lines = {"dataset": read_bytes(toy_csv).splitlines()[:5],
+             "features": [b"# features", b"w & x", b"y", b"z"],
+             "sweep": [b"lambda,limit_iter,num_features,oi,c0,c1,rms",
+                       b"0.1,1,4,0.3,0,1,0.2", b"0.2,1,4,0.2,0.1,1,0.2"]}[given]
+    # first on its line: an offset 3 bytes short, as after a BOM, misses the line end
+    lines[bad - 1] = b"\xff" + lines[bad - 1]
+    path, out = tmp_path / "given", tmp_path / "out"
+    path.write_bytes(bom + eol.join(lines) + eol)
+    out.mkdir()
+    features = tmp_path / "f.txt"
+    features.write_text("w\n")
+    metrics_out = ["--out", str(out / "metrics.json")]
+    argv = {"dataset": ["metrics", str(path), "--features", str(features), *metrics_out],
+            "features": ["metrics", toy_csv, "--features", str(path), *metrics_out],
+            "sweep": ["pareto", "--in", str(path), "--front-out", str(out / "front.csv"),
+                      "--closest-out", str(out / "cp.json")]}[given]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {bad}: byte 0xff is not UTF-8")
+    assert list(out.iterdir()) == []
+
+
 def test_metrics_reads_a_feature_file_with_bom(toy_csv, tmp_path, capsys):
     plain, bom = tmp_path / "f.txt", tmp_path / "bom.txt"
     plain.write_bytes(b"w & x\ny\n")

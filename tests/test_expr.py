@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ref_evaluate, ref_literals
 
 from boolfc.dataset import Dataset
 from boolfc.expr import (
@@ -31,17 +32,6 @@ from boolfc.expr import (
 )
 from boolfc.metrics import DuplicateFeatureError, FeatureSet
 from boolfc.ufc import RiskMode, UfcConfig, ufc_run
-
-# -- naive per-row oracle ----------------------------------------------------
-
-
-def eval_row(e, row: dict) -> bool:
-    if isinstance(e, Prim):
-        return row[e.name]
-    if isinstance(e, Not):
-        return not eval_row(e.child, row)
-    return eval_row(e.left, row) and eval_row(e.right, row)
-
 
 # -- parsing -----------------------------------------------------------------
 
@@ -273,7 +263,7 @@ def test_canonicalize_idempotent(e):
     assert canonicalize(c) == c
 
 
-# -- reference renderer, canonicalizer and literal counter -------------------
+# -- reference renderer and canonicalizer -----------------------------------
 # The recursive forms that re-render every subtree on each call, kept as
 # the oracle for the nodes' stored text.
 
@@ -308,30 +298,6 @@ def ref_canonicalize(e):
     return And(right, left)
 
 
-def ref_literal_count(e) -> int:
-    return len(ref_literals(e))
-
-
-def ref_literals(e) -> set:
-    """(name, sign) of each distinct leaf literal of the canonical form."""
-    literals = set()
-
-    def walk(node):
-        if isinstance(node, Prim):
-            literals.add((node.name, True))
-        elif isinstance(node, Not):
-            if isinstance(node.child, Prim):
-                literals.add((node.child.name, False))
-            else:
-                walk(node.child)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(ref_canonicalize(e))
-    return literals
-
-
 def rebuild(e):
     """A structurally equal copy made of fresh nodes."""
     if isinstance(e, Prim):
@@ -357,8 +323,8 @@ def check_against_references(e):
     assert canonicalize(e) is c
     assert c == ref_canonicalize(e)
     assert canonical_text(e) == ref_to_text(ref_canonicalize(e))
-    assert literal_count(e) == ref_literal_count(e)
-    assert {(t.lstrip("!"), t[0] != "!") for t in e.literals} == ref_literals(e)
+    assert literal_count(e) == len(ref_literals(e))
+    assert set(e.literals) == ref_literals(e)
     for sub in subtrees(c):
         assert canonicalize(sub) is sub
     # identity is the text, so a fresh copy is equal, hashes and prints alike
@@ -472,7 +438,7 @@ def test_deep_expressions_match_recursive_reference():
         c = canonicalize(e)
         assert ref_to_text(c) == ref_to_text(ref_canonicalize(e))
         assert canonical_text(e) == ref_to_text(c)
-        assert literal_count(e) == ref_literal_count(e)
+        assert literal_count(e) == len(ref_literals(e))
         assert all(canonicalize(sub) is sub for sub in subtrees(c))
     assert canonical_text(negated) == "!a" and literal_count(negated) == 1
 
@@ -546,17 +512,6 @@ def test_evaluate_unknown_name():
         evaluate(parse("zzz"), d)
 
 
-@given(_exprs, st.integers(1, 8), st.randoms(use_true_random=False))
-@settings(max_examples=150, deadline=None)
-def test_evaluate_matches_row_oracle(e, n, rnd):
-    rows = [[rnd.random() < 0.5 for _ in range(3)] for _ in range(n)]
-    d = small_dataset(rows)
-    got = evaluate(e, d)
-    for i, row in enumerate(rows):
-        env = dict(zip(["a", "b", "c"], row))
-        assert got[i] == eval_row(e, env)
-
-
 @given(_exprs, _exprs)
 @settings(max_examples=100, deadline=None)
 def test_de_morgan_at_extension_level(x, y):
@@ -573,17 +528,6 @@ def test_canonicalize_preserves_extension(e):
     rng = np.random.default_rng(1)
     d = small_dataset(rng.random((12, 3)) < 0.5)
     assert np.array_equal(evaluate(e, d), evaluate(canonicalize(e), d))
-
-
-def ref_evaluate(e, dataset):
-    """Recursive, member by member evaluation over bool columns."""
-    if isinstance(e, Prim):
-        if e.name not in dataset.name_index:
-            raise UnknownFeatureError(f"unknown feature {e.name!r}")
-        return dataset.column(e.name)
-    if isinstance(e, Not):
-        return ~ref_evaluate(e.child, dataset)
-    return ref_evaluate(e.left, dataset) & ref_evaluate(e.right, dataset)
 
 
 # n around byte and word boundaries: '!' sets the padding bits of a packed

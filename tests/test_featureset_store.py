@@ -1,19 +1,24 @@
 """FeatureSet as an append/select store: ``extend`` and ``select`` equal a
-fresh set of the same members, derive only what they add, and the uFC and
-uFRINGE loops built on them reproduce the rebuild-every-iteration loops."""
+fresh set of the same members and derive only what they add; the words
+equal a recursive evaluation over bool columns, with every bit past row n
+zero; the carried co-occurrence matrix G equals a fresh count of the
+words, and each uFC step grows or counts G as the rule says; and the
+uFRINGE loop built on the store reproduces the rebuild-every-iteration
+loop.  The whole uFC loop is checked against ``oracles.oracle_run_json``
+in ``test_ufc.py``."""
 
-import json
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import DATASETS, RULES, brute_oi, ref_evaluate
 
 from boolfc import expr as ex
 from boolfc import metrics, ufc
-from boolfc.dataset import Dataset, unique_count
+from boolfc.dataset import Dataset
 from boolfc.metrics import (
     FeatureSet,
     MetricsError,
@@ -21,16 +26,8 @@ from boolfc.metrics import (
     overlapping_index_detail,
     report,
 )
-from boolfc.stats import cooccurrence, lambda_from_risk
-from boolfc.ufc import (
-    FixedMode,
-    RiskMode,
-    UfcConfig,
-    UfcError,
-    construct_new_features,
-    search_correlated_pairs,
-    ufc_run,
-)
+from boolfc.stats import cooccurrence
+from boolfc.ufc import RiskMode, UfcConfig, construct_new_features, ufc_run
 from boolfc.ufringe import (
     UfringeConfig,
     build_clustering_tree,
@@ -210,71 +207,7 @@ def test_constructor_still_rejects_what_extend_skips():
     assert grown.keys == ("a", "b", "c", "d", "a & b")
 
 
-# -- the loops, against the rebuild-every-iteration loops they replace -----
-
-
-def rebuild_ufc_run(d, cfg):
-    """uFC as it ran when every iteration rebuilt the feature set from
-    expressions: children deduplicated by hand, merged, then pruned."""
-    uniq = unique_count(d)
-    if uniq <= d.k:
-        raise UfcError("degenerate dataset")
-    if isinstance(cfg.mode, RiskMode):
-        threshold = lambda_from_risk(cfg.mode.alpha, d.n)
-        limit = cfg.mode.hard_cap
-        risk_mode = True
-    else:
-        threshold = cfg.mode.threshold
-        limit = cfg.mode.limit_iter
-        risk_mode = False
-
-    fs = FeatureSet.from_primitives(d)
-    trajectory = [report(fs)]
-    logs = []
-    while True:
-        constructed = []
-        candidates = search_correlated_pairs(fs, threshold, cfg.pruning)
-        used = set()
-        parents = set()
-        children = []
-        child_keys = set()
-        for pair in candidates:
-            if pair.i in used or pair.j in used:
-                continue
-            used.update((pair.i, pair.j))
-            parents.update((fs.keys[pair.i], fs.keys[pair.j]))
-            for child in construct_new_features(
-                fs.members[pair.i], fs.members[pair.j]
-            ):
-                key = ex.to_text(child)
-                if key in child_keys or key in fs.keys:
-                    continue
-                child_keys.add(key)
-                children.append(child)
-                constructed.append(key)
-
-        merged = FeatureSet(list(fs.members) + children, d)
-        keep = [
-            e
-            for e, key, s in zip(merged.members, merged.keys, merged.supports())
-            if s > 0 and key not in parents
-        ]
-        new_fs = FeatureSet(keep, d)
-        pruned = [k for k in merged.keys if k not in set(new_fs.keys)]
-
-        if new_fs.keys == fs.keys:
-            return fs, trajectory, logs, "fixpoint", threshold
-
-        logs.append((constructed, pruned))
-        prev_fs = fs
-        fs = new_fs
-        trajectory.append(report(fs))
-
-        if risk_mode and trajectory[-1].rms > trajectory[-2].rms:
-            return prev_fs, trajectory, logs, "rms_minimum", threshold
-        if len(trajectory) - 1 >= limit:
-            reason = "hard_cap" if risk_mode else "iter_limit"
-            return fs, trajectory, logs, reason, threshold
+# -- the uFRINGE loop, against the rebuild-every-iteration loop it replaced ---
 
 
 def rebuild_ufringe_run(d, cfg):
@@ -295,62 +228,6 @@ def rebuild_ufringe_run(d, cfg):
     return fs
 
 
-def generated_dataset(n, k, seed):
-    """The benchmark's generator: k/4 latent Bernoulli(0.4) columns, and
-    feature j = latent[j mod k/4] XOR Bernoulli(0.10 + 0.02 * (j mod 5))."""
-    rng = np.random.default_rng(seed)
-    groups = k // 4
-    latent = rng.random((n, groups)) < 0.4
-    cols = [
-        latent[:, j % groups] ^ (rng.random(n) < 0.10 + 0.02 * (j % 5))
-        for j in range(k)
-    ]
-    return Dataset([f"f{j}" for j in range(k)], np.column_stack(cols))
-
-
-def odd_dataset():
-    """A duplicated, a complemented and a constant column, so that children
-    collide with members and zero-support features get pruned."""
-    d = generated_dataset(300, 8, 11)
-    m = d.matrix
-    extra = np.column_stack([m[:, 0], ~m[:, 1], np.zeros(d.n, bool)])
-    return Dataset(list(d.feature_names) + ["dup", "neg", "zero"],
-                   np.column_stack([m, extra]))
-
-
-DATASETS = {
-    "gen-400x12-s0": lambda: generated_dataset(400, 12, 0),
-    "gen-600x16-s1": lambda: generated_dataset(600, 16, 1),
-    "gen-250x8-s2": lambda: generated_dataset(250, 8, 2),
-    "odd-300x11": odd_dataset,
-}
-
-MODES = {
-    "risk-0.001": RiskMode(0.001),
-    "risk-0.05-cap2": RiskMode(0.05, hard_cap=2),
-    "fixed-0.05x4": FixedMode(0.05, 4),
-    "fixed-0.3x6": FixedMode(0.3, 6),
-}
-
-
-@pytest.mark.parametrize("pruning", [False, True])
-@pytest.mark.parametrize("mode", list(MODES))
-@pytest.mark.parametrize("name", list(DATASETS))
-def test_ufc_run_matches_rebuild_loop(name, mode, pruning):
-    d = DATASETS[name]()
-    cfg = UfcConfig(MODES[mode], candidate_pruning=pruning)
-    features, trajectory, logs, stop_reason, threshold = rebuild_ufc_run(d, cfg)
-    got = ufc_run(d, cfg)
-    assert got.features.keys == features.keys
-    assert got.features.members == features.members
-    assert np.array_equal(got.features.extensions, features.extensions)
-    assert got.trajectory == trajectory
-    assert [(log.constructed, log.pruned) for log in got.logs] == logs
-    assert got.stop_reason == stop_reason
-    assert got.threshold == threshold
-    assert got.final_report() == report(got.features)
-
-
 @pytest.mark.parametrize("max_features", [12, 40, 300])
 @pytest.mark.parametrize("name", ["gen-250x8-s2", "odd-300x11"])
 def test_ufringe_run_matches_rebuild_loop(name, max_features):
@@ -365,15 +242,6 @@ def test_ufringe_run_matches_rebuild_loop(name, max_features):
 
 
 # -- padding bits: n around byte and word boundaries ---------------------------
-
-
-def bool_oracle(e, d):
-    """Member by member evaluation over plain bool columns."""
-    if isinstance(e, ex.Prim):
-        return d.column(e.name)
-    if isinstance(e, ex.Not):
-        return ~bool_oracle(e.child, d)
-    return bool_oracle(e.left, d) & bool_oracle(e.right, d)
 
 
 def padding_bits(fs):
@@ -392,17 +260,12 @@ def test_store_matches_bool_oracle_and_keeps_padding_zero(n):
     grown = fs.extend([ex.And(x, y) for x in signed for y in signed])
     kept = grown.select(np.arange(grown.m) % 2 == 0)
     for got in (fs, grown, kept):
-        want = np.column_stack([bool_oracle(e, d) for e in got.members])
+        want = np.column_stack([ref_evaluate(e, d) for e in got.members])
         assert not padding_bits(got).any()
         assert np.array_equal(got.extensions, want)
         assert np.array_equal(got.supports(), np.count_nonzero(want, axis=0))
         assert np.array_equal(np.diagonal(cooccurrence(got.words)), got.supports())
-        covered = np.count_nonzero(want.any(axis=1))
-        oi, null_added = overlapping_index_detail(got)
-        assert null_added == (covered < n)
-        if got.m + null_added > 1:
-            sum_p = float(np.count_nonzero(want)) / n + (n - covered) / n
-            assert oi == (sum_p - 1.0) / (got.m + null_added - 1)
+        assert overlapping_index_detail(got) == brute_oi(want)
 
 
 # -- the carried co-occurrence matrix ------------------------------------------
@@ -452,48 +315,6 @@ def test_sets_count_no_gram_unless_asked():
         grown.drop_gram()
         assert np.array_equal(grown.gram, cooccurrence(grown.words))
     assert count.call_count == 2
-
-
-def recounting_pair_tables(fs):
-    """``pair_tables`` as it was before sets carried G: a count of the
-    words on every call."""
-    g = cooccurrence(fs.words)
-    i, j = np.triu_indices(fs.m, k=1)
-    s = np.diagonal(g)
-    a = g[i, j]
-    b = s[i] - a
-    c = s[j] - a
-    return i, j, a, b, c, fs.dataset.n - a - b - c
-
-
-@st.composite
-def correlated_datasets(draw):
-    """Noisy copies of a few latent columns, so that runs find pairs."""
-    n, k = draw(st.integers(20, 200)), draw(st.integers(2, 7))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    latent = rng.random((n, draw(st.integers(1, k)))) < rng.random()
-    noise = rng.random((n, k)) < rng.choice([0.0, 0.05, 0.2], k)
-    return Dataset([f"f{j}" for j in range(k)], latent[:, np.arange(k) % latent.shape[1]] ^ noise)
-
-
-RULES = {"grow": lambda *size: True, "count": lambda *size: False, "rule": growing_gram_pays}
-
-
-def run_json(d, cfg) -> str:
-    """The text of the ``run.json`` that ``boolfc construct`` writes."""
-    return json.dumps(ufc_run(d, cfg).to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
-@given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans(),
-       st.sampled_from(list(RULES)))
-@settings(max_examples=120, deadline=None)
-def test_carried_run_writes_the_bytes_of_a_recounting_run(d, mode, pruning, rule):
-    assume(unique_count(d) > d.k)
-    cfg = UfcConfig(MODES[mode], candidate_pruning=pruning)
-    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
-        carried = run_json(d, cfg)
-    with mock.patch.object(ufc, "pair_tables", recounting_pair_tables):
-        assert run_json(d, cfg) == carried
 
 
 @pytest.mark.parametrize("rule", ["grow", "count"])

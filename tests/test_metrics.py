@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import brute_oi, dataset_from_columns
 
 from boolfc.dataset import Dataset
 from boolfc.expr import parse
@@ -13,25 +14,6 @@ from boolfc.metrics import (
     report,
     rms,
 )
-
-
-def dataset_from_columns(cols: dict) -> Dataset:
-    return Dataset(list(cols), np.column_stack([np.asarray(v, bool) for v in cols.values()]))
-
-
-def brute_force_oi(fs: FeatureSet) -> float:
-    """Row-by-row recount of OI, independent of cached extensions."""
-    n = fs.dataset.n
-    rows = fs.extensions.tolist()
-    sum_p = 0.0
-    for j in range(fs.m):
-        sum_p += sum(1 for i in range(n) if rows[i][j]) / n
-    uncovered = sum(1 for i in range(n) if not any(rows[i]))
-    m = fs.m
-    if uncovered:
-        sum_p += uncovered / n
-        m += 1
-    return (sum_p - 1) / (m - 1)
 
 
 # -- OI ------------------------------------------------------------------
@@ -92,7 +74,7 @@ def test_oi_in_unit_interval_and_matches_brute_force():
         fs = FeatureSet.from_primitives(d)
         oi = overlapping_index(fs)
         assert 0.0 <= oi <= 1.0
-        assert oi == pytest.approx(brute_force_oi(fs), abs=1e-12)
+        assert oi == pytest.approx(brute_oi(d.matrix)[0], abs=1e-12)
 
 
 # -- C0 ------------------------------------------------------------------

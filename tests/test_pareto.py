@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_front
 
 from boolfc.dataset import Dataset
 from boolfc.pareto import (
@@ -59,20 +60,6 @@ def test_front_collapses_coordinate_duplicates():
     assert front == [first]
 
 
-def brute_force_front(sols):
-    out = []
-    seen = set()
-    for s in sols:
-        dominated = any(
-            (o.oi <= s.oi and o.c0 <= s.c0 and (o.oi < s.oi or o.c0 < s.c0))
-            for o in sols
-        )
-        if not dominated and (s.oi, s.c0) not in seen:
-            seen.add((s.oi, s.c0))
-            out.append(s)
-    return sorted(out, key=lambda s: (s.oi, s.c0))
-
-
 def test_front_matches_quadratic_oracle():
     rng = np.random.default_rng(1)
     for _ in range(30):
@@ -81,7 +68,7 @@ def test_front_matches_quadratic_oracle():
                 lam=float(rng.random()), it=int(rng.integers(1, 5)))
             for _ in range(25)
         ]
-        assert pareto_front(sols) == brute_force_front(sols)
+        assert pareto_front(sols) == brute_front(sols)
 
 
 # coordinates on a 1/q lattice, q <= 5, so equal OI, equal C0 and equal
@@ -94,7 +81,7 @@ _lattice = st.integers(1, 5).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_front_matches_quadratic_oracle_on_tied_lattices(points):
     sols = [sol(oi, c0, lam=i / 100) for i, (oi, c0) in enumerate(points)]
-    assert pareto_front(sols) == brute_force_front(sols)
+    assert pareto_front(sols) == brute_front(sols)
 
 
 # -- closest_point -----------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import textbook_chi2
 
 from boolfc import stats
 from boolfc.stats import (
@@ -353,19 +354,6 @@ def test_phi_coefficients_nan_when_undefined():
 
 
 # -- chi-square identity -----------------------------------------------------
-
-
-def textbook_chi2(t: ContingencyTable) -> float:
-    n = t.n
-    rows = (t.a + t.b, t.c + t.d)
-    cols = (t.a + t.c, t.b + t.d)
-    observed = ((t.a, t.b), (t.c, t.d))
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            e = rows[i] * cols[j] / n
-            total += (observed[i][j] - e) ** 2 / e
-    return total
 
 
 def test_chi2_trivial_cases():

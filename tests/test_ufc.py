@@ -1,12 +1,19 @@
 import json
-import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_featureset_store import MODES, RULES, correlated_datasets
+from oracles import (
+    DATASETS,
+    MODES,
+    RULES,
+    correlated_datasets,
+    dataset_from_columns,
+    oracle_run_json,
+    scalar_search_reference,
+)
 
 from boolfc import ufc
 from boolfc.dataset import Dataset
@@ -16,24 +23,13 @@ from boolfc.expr import (
     Prim,
     canonical_text,
     canonicalize,
-    conjunction,
     evaluate,
-    negation,
     parse,
     to_text,
 )
-from boolfc.metrics import FeatureSet, MetricsError, report
-from boolfc.stats import (
-    DegenerateTableError,
-    contingency,
-    cooccurrence,
-    expected_counts_ok,
-    lambda_from_risk,
-    pack_columns,
-    pearson_r,
-)
+from boolfc.metrics import FeatureSet, report
+from boolfc.stats import contingency, cooccurrence, pack_columns
 from boolfc.ufc import (
-    CandidatePair,
     FixedMode,
     RiskMode,
     UfcConfig,
@@ -45,12 +41,6 @@ from boolfc.ufc import (
     search_correlated_pairs,
     ufc_run,
 )
-
-
-def dataset_from_columns(cols: dict) -> Dataset:
-    return Dataset(
-        list(cols), np.column_stack([np.asarray(v, bool) for v in cols.values()])
-    )
 
 
 def indicator(n, idx):
@@ -125,38 +115,7 @@ def test_search_ordering():
     assert rs == sorted(rs, reverse=True)
 
 
-# -- oracles for the vectorized pair statistics ------------------------------
-
-
-def scalar_search_reference(fs, threshold, pruning):
-    """The per-pair loop that search_correlated_pairs replaced, with its own
-    int64 co-occurrence product and the division form of the
-    expected-frequency rule."""
-    ext = fs.extensions.astype(np.int64)
-    co = ext.T @ ext
-    n = fs.dataset.n
-    out = []
-    for i in range(fs.m):
-        for j in range(i + 1, fs.m):
-            a = int(co[i, j])
-            b = int(co[i, i]) - a
-            c = int(co[j, j]) - a
-            d = n - a - b - c
-            m1, m2, m3, m4 = a + b, c + d, a + c, b + d
-            if min(m1, m2, m3, m4) == 0:
-                continue
-            r = (a * d - b * c) / np.sqrt(
-                float(m1) * float(m2) * float(m3) * float(m4)
-            )
-            if r <= threshold:
-                continue
-            if pruning and not all(
-                row * col / n >= 5.0 for row in (m1, m2) for col in (m3, m4)
-            ):
-                continue
-            out.append(CandidatePair(i, j, float(r)))
-    out.sort(key=lambda p: (-p.r, p.i, p.j))
-    return out
+# -- the vectorized pair statistics against their oracle --------------------
 
 
 def oracle_dataset(n, seed):
@@ -224,7 +183,7 @@ def pooled_datasets(draw):
 def test_search_matches_scalar_loop(d, threshold, pruning):
     fs = FeatureSet.from_primitives(d)
     got = search_correlated_pairs(fs, threshold, pruning)
-    assert got == scalar_search_reference(fs, threshold, pruning)
+    assert got == scalar_search_reference(fs.extensions, threshold, pruning)
     assert all(type(p.r) is float and type(p.i) is int for p in got)
 
 
@@ -233,7 +192,7 @@ def test_search_matches_scalar_loop_with_ties(pruning):
     # duplicated and complemented columns give equal r for many pairs
     d = oracle_dataset(400, seed=11)
     fs = FeatureSet.from_primitives(d)
-    want = scalar_search_reference(fs, -0.9, pruning)
+    want = scalar_search_reference(fs.extensions, -0.9, pruning)
     rs = [p.r for p in want]
     assert len(set(rs)) < len(rs)
     assert search_correlated_pairs(fs, -0.9, pruning) == want
@@ -511,125 +470,40 @@ def test_monotone_oi_and_c0_along_random_runs():
 # -- whole-run oracle ----------------------------------------------------
 
 
-def literals(e) -> set[str]:
-    """The distinct signed leaves of ``e``: a negated conjunction resets
-    the sign, and a double negation cancels."""
-    if isinstance(e, Prim):
-        return {e.name}
-    if isinstance(e, And):
-        return literals(e.left) | literals(e.right)
-    child = e.child
-    if isinstance(child, Prim):
-        return {"!" + child.name}
-    return literals(child.child if isinstance(child, Not) else child)
-
-
-def oracle_report(d: Dataset, columns: list, members: list) -> dict:
-    """``asdict(report(fs))`` from the bool columns of the members."""
-    n, k, m = d.n, d.k, len(members)
-    sum_p = float(sum(int(col.sum()) for col in columns)) / n
-    uncovered = n - int(np.logical_or.reduce(columns).sum())
-    null_added = uncovered > 0  # the virtual feature that covers them
-    if null_added:
-        sum_p += uncovered / n
-    if m + null_added < 2:
-        raise MetricsError("one feature")
-    oi = (sum_p - 1.0) / (m + null_added - 1)
-    if m == k and {canonical_text(e) for e in members} == set(d.feature_names):
-        c0 = 0.0
-    else:
-        c0 = max((m - k) / (len({row.tobytes() for row in d.matrix}) - k), 0.0)
-    c1 = sum(len(literals(e)) for e in members) / m
-    return {"oi": oi, "c0": c0, "c1": c1, "rms": math.sqrt((oi * oi + c0 * c0) / 2.0),
-            "m": m, "null_added": null_added}
-
-
-def oracle_run_json(d: Dataset, cfg: UfcConfig) -> dict:
-    """``ufc_run(d, cfg).to_json_dict()`` from a plain loop over bool
-    columns: one contingency table per pair, the scalar r and
-    expected-count rule, greedy disjoint pairs by r descending, the
-    triple operator, then pruning."""
-    if len({row.tobytes() for row in d.matrix}) <= d.k:
-        raise UfcError("degenerate dataset")
-    risk = isinstance(cfg.mode, RiskMode)
-    threshold = lambda_from_risk(cfg.mode.alpha, d.n) if risk else cfg.mode.threshold
-    limit = cfg.mode.hard_cap if risk else cfg.mode.limit_iter
-    members = [Prim(name) for name in d.feature_names]
-    columns = [d.column(name) for name in d.feature_names]
-    trajectory = [oracle_report(d, columns, members)]
-    constructed, pruned = [], []
-    while True:
-        pairs = []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                t = contingency(columns[i], columns[j])
-                try:
-                    r = pearson_r(t)
-                except DegenerateTableError:
-                    continue
-                if r > threshold and (expected_counts_ok(t) or not cfg.pruning):
-                    pairs.append((-r, i, j))
-        used = set()
-        new_members, new_columns = list(members), list(columns)
-        keys = [canonical_text(e) for e in members]
-        for _, i, j in sorted(pairs):
-            if i in used or j in used:
-                continue
-            used.update((i, j))
-            fi, fj, xi, xj = members[i], members[j], columns[i], columns[j]
-            for child, col in ((conjunction(fi, fj), xi & xj),
-                               (conjunction(negation(fi), fj), ~xi & xj),
-                               (conjunction(fi, negation(fj)), xi & ~xj)):
-                if canonical_text(child) not in keys:
-                    keys.append(canonical_text(child))
-                    new_members.append(child)
-                    new_columns.append(col)
-        parents = {keys[i] for i in used}
-        keep = [col.any() and key not in parents for key, col in zip(keys, new_columns)]
-        if not any(keep):
-            raise UfcError("pruning removed every feature")
-        if [key for key, kept in zip(keys, keep) if kept] == keys[:len(members)]:
-            stop = "fixpoint"
-            break
-        constructed.append(keys[len(members):])
-        pruned.append([key for key, kept in zip(keys, keep) if not kept])
-        previous = members
-        members = [e for e, kept in zip(new_members, keep) if kept]
-        columns = [col for col, kept in zip(new_columns, keep) if kept]
-        trajectory.append(oracle_report(d, columns, members))
-        if risk and trajectory[-1]["rms"] > trajectory[-2]["rms"]:
-            stop, members = "rms_minimum", previous
-            break
-        if len(trajectory) - 1 >= limit:
-            stop = "hard_cap" if risk else "iter_limit"
-            break
-    return {
-        "threshold": threshold,
-        "stop_reason": stop,
-        "iterations": len(trajectory) - 1,
-        "features": [to_text(e) for e in members],
-        "final_metrics": trajectory[-2 if stop == "rms_minimum" else -1],
-        "trajectory": trajectory,
-        "constructed": constructed,
-        "pruned": pruned,
-    }
-
-
 def json_text(run: dict) -> str:
     """The text ``boolfc construct`` writes for a ``run.json`` dict."""
     return json.dumps(run, sort_keys=True, indent=2) + "\n"
+
+
+def assert_runs_match_oracle(d, cfg, rules):
+    """Under each of ``rules`` for growing G, ``ufc_run`` writes the bytes
+    of the oracle's ``run.json`` and ends with its columns, or raises the
+    oracle's error."""
+    try:
+        want, columns = oracle_run_json(d, cfg)
+    except ValueError as err:
+        want, columns = type(err), None
+    for rule in rules:
+        with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
+            if columns is None:
+                with pytest.raises(want):
+                    ufc_run(d, cfg)
+                continue
+            got = ufc_run(d, cfg)
+        assert json_text(got.to_json_dict()) == json_text(want)
+        assert np.array_equal(got.features.extensions, columns)
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("name", list(DATASETS))
+def test_run_matches_the_oracle(name, mode, pruning):
+    d = DATASETS[name]()
+    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning), RULES)
 
 
 @given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans(),
        st.sampled_from(list(RULES)))
 @settings(max_examples=300, deadline=None)
 def test_run_writes_the_bytes_of_a_plain_loop(d, mode, pruning, rule):
-    cfg = UfcConfig(MODES[mode], candidate_pruning=pruning)
-    try:
-        want = json_text(oracle_run_json(d, cfg))
-    except ValueError as err:
-        with pytest.raises(type(err)):
-            ufc_run(d, cfg)
-        return
-    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
-        assert json_text(ufc_run(d, cfg).to_json_dict()) == want
+    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning), [rule])

@@ -1,14 +1,14 @@
-import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import dataset_from_columns
 
 from boolfc import ufringe
 from boolfc.dataset import Dataset
-from boolfc.expr import And, Not, canonical_text, canonicalize, evaluate, parse
+from boolfc.expr import And, Not, canonical_text, canonicalize, parse
 from boolfc.metrics import FeatureSet
 from boolfc.stats import cooccurrence
 from boolfc.ufringe import (
@@ -18,12 +18,6 @@ from boolfc.ufringe import (
     extract_fringe_features,
     ufringe_run,
 )
-
-
-def dataset_from_columns(cols: dict) -> Dataset:
-    return Dataset(
-        list(cols), np.column_stack([np.asarray(v, bool) for v in cols.values()])
-    )
 
 
 def leaves(node: TreeNode):
