@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import astuple
 from typing import Iterable, Iterator, TextIO, Union
 
@@ -123,20 +124,18 @@ class Dataset:
 _BOM = b"\xef\xbb\xbf"
 
 
-def load_dataset(source: Union[str, bytes, TextIO]) -> Dataset:
+def load_dataset(source: Union[str, os.PathLike, bytes]) -> Dataset:
     """Load a strict 0/1 CSV with a header row of feature names.
 
-    ``source`` may be a filesystem path, raw bytes, or a text stream.
-    Paths and bytes are UTF-8, with or without a byte-order mark.
-    Errors are reported with their 1-based line number.
+    ``source`` is a filesystem path (``str`` or ``os.PathLike``) or the
+    file's raw bytes, UTF-8, with or without a byte-order mark.  Errors
+    are reported with their 1-based line number.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as fh:
-            raw = fh.read()
-    elif isinstance(source, bytes):
+    if isinstance(source, bytes):
         raw = source
     else:
-        return _load_strict(source)
+        with open(source, "rb") as fh:
+            raw = fh.read()
     d = _load_regular(raw)
     if d is not None:
         return d

@@ -54,9 +54,7 @@ class UnknownFeatureError(ExprError):
 # exist already because every tree is built bottom-up; so no step recurses
 # on depth.  ``_derive`` stores them as plain instance attributes, not
 # dataclass fields.  A Not over a Not or an And adds no literal and shares
-# its grandchild's or child's set, a Not over a Prim shares the Prim's one
-# negated set, and an And whose operand's set holds the other's shares
-# that operand's set.  ``text`` renders the structure one to
+# its grandchild's or child's set.  ``text`` renders the structure one to
 # one, so it is an expression's identity: ``==``, ``hash`` and ``repr``
 # read it, and the dataclasses generate none of them.
 # A node that is its own canonical form stores None, not itself: a node
@@ -97,8 +95,6 @@ class Prim(_Expr):
 
     def __post_init__(self):
         _derive(self, self.name, None, frozenset((self.name,)))
-        # the one literal set that every negation of this node shares
-        object.__setattr__(self, "negated_literals", frozenset(("!" + self.name,)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -114,7 +110,7 @@ class Not(_Expr):
         else:
             form = None if form is child else Not(form)
         if isinstance(child, Prim):
-            literals = child.negated_literals
+            literals = frozenset(("!" + child.name,))
         elif isinstance(child, Not):
             literals = child.child.literals  # the double negation cancels
         else:
@@ -137,18 +133,11 @@ class And(_Expr):
         if left.text > right.text:
             left, right = right, left
         form = None if left is self.left and right is self.right else And(left, right)
-        literals = _union(self.left.literals, self.right.literals)
+        literals = self.left.literals | self.right.literals
         _derive(self, text, form, literals)
 
 
 FeatureExpr = Union[Prim, Not, And]
-
-
-def _union(a: frozenset, b: frozenset) -> frozenset:
-    """a | b, as a or b itself where one holds the other."""
-    if b <= a:
-        return a
-    return b if a <= b else a | b
 
 
 # ---------------------------------------------------------------------------

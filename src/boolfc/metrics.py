@@ -1,6 +1,8 @@
 """Feature-set quality and complexity measures: OI, C0, C1, RMS; and
-FeatureSet, with the growth of its co-occurrence matrix G (``_grown_gram``,
-``growing_gram_pays``)."""
+FeatureSet, which owns its co-occurrence matrix G: it counts G when first
+read, and ``extend`` and ``select`` hand it on, ``extend`` growing it
+(``_grown_gram``) only where ``growing_gram_pays`` finds that cheaper
+than counting it again."""
 
 from __future__ import annotations
 
@@ -62,68 +64,64 @@ _GROW_ENTRY_WORDS = 2
 
 
 def growing_gram_pays(m: int, q: int, p: int, kept: int, w: int) -> bool:
-    """Whether ``extend`` growing the co-occurrence matrix of m members by
-    q members with p distinct bases, all of w words, is estimated to cost
-    less than counting, from their words, the matrix of the ``kept``
-    members that the caller then selects, as the next read of ``gram``
-    would after ``drop_gram``."""
+    """Whether growing the co-occurrence matrix of m members by q members
+    with p distinct bases, all of w words, is estimated to cost less than
+    counting, from their words, the matrix of the ``kept`` members that
+    are left once the caller prunes, as the next read of ``gram`` would."""
     grow = w * (p * m + p * (p + 1) // 2) + _GROW_ENTRY_WORDS * (m + q) ** 2
     return _GROW_CALL_WORDS + grow < w * kept * (kept + 1) // 2
 
 
-def _grown_gram(g, words, operands, negated, n) -> np.ndarray:
+def _grown_gram(g, words, operands, negated) -> np.ndarray | None:
     """The co-occurrence matrix of q members appended to m members whose
     words are ``words`` and whose matrix is ``g``: member c is the AND of
     rows i = ``operands[c, 0]`` and j = ``operands[c, 1]``, each negated
     where ``negated[c]`` is 1.  Exact, and only the distinct bases
     x_i & x_j are counted, against the m members and each other.
 
-    With ni, nj the two negation flags, member c is, as a 0/1 vector,
-    ni·nj·1 + nj(1 - 2ni)·x_i + ni(1 - 2nj)·x_j + (1 - 2ni)(1 - 2nj)·b
-    with b its base, for all four sign patterns.  So each of its counts
-    is a signed sum of at most four known counts: against member k, of
-    k's support, G[i, k], G[j, k] and b's count against k; against a
-    base, or against another appended member, the same sum over the
-    counts of that one.  Cost: p(m + p) counted entries for p distinct
-    bases, against (m + q)²/2 for a count from the words."""
+    The triple operator negates at most one operand, so with b its base,
+    member c is, as a 0/1 vector, b, x_j - b (x_i negated) or x_i - b
+    (x_j negated): each of its counts is b's, or a known count minus b's.
+    None, for G to be counted when next read, where a member negates both
+    operands, or where ``growing_gram_pays`` finds counting cheaper; the
+    members kept are taken as the m + q less the distinct operands, which
+    uFC prunes.  Cost: p(m + p) counted entries for p distinct bases,
+    against (m + q)²/2 for a count from the words."""
     m, q = len(g), len(operands)
-    i, j = operands.T
-    pairs, base = np.unique(np.minimum(i, j) * m + np.maximum(i, j), return_inverse=True)
+    bases = np.minimum(*operands.T) * m + np.maximum(*operands.T)  # a key per base
+    kept = m + q - len(set(operands.ravel().tolist()))
+    # counted in Python sets, for runs that never grow G, like noise-S's:
+    # np.unique before this decision raised their peak RSS by 0.3 MiB and
+    # doubled its cost
+    if (negated[:, 0] & negated[:, 1]).any() or not growing_gram_pays(
+            m, q, len(set(bases.tolist())), kept, words.shape[1]):
+        return None
+    pairs, base = np.unique(bases, return_inverse=True)
     base_words = words[pairs // m] & words[pairs % m]
     h = cross_counts(base_words, words)  # (p, m): bases against members
     k = cooccurrence(base_words)  # (p, p): bases against bases
-    sign = negated[:, 0] + 2 * negated[:, 1]
-    groups = [(s, rows) for s in range(4) if len(rows := np.flatnonzero(sign == s))]
+    rows = np.flatnonzero(negated.any(axis=1))  # x - b, x the operand not negated
+    plain = operands[rows, negated[rows, 0]]
     out = np.empty((m + q, m + q), dtype=np.int64)
     out[:m, :m] = g
-    _signed_sum(out[m:, :m], groups, i, j, base, np.diagonal(g), g, h)
+    _minus_base(out[m:, :m], base, rows, plain, g, h)
     out[:m, m:] = out[m:, :m].T
-    to_bases = _signed_sum(np.empty((q, len(pairs)), dtype=np.int64), groups, i, j,
-                           base, np.diagonal(k), h.T, k)
-    supports = _signed_sum(np.empty(q, dtype=np.int64), groups, i, j, base,
-                           n, np.diagonal(g), np.diagonal(k))
-    _signed_sum(out[m:, m:], groups, i, j, base, supports, out[:m, m:], to_bases.T)
+    to_bases = _minus_base(np.empty((q, len(pairs)), dtype=np.int64), base, rows,
+                           plain, h.T, k)
+    _minus_base(out[m:, m:], base, rows, plain, out[:m, m:], to_bases.T)
+    out.setflags(write=False)
     return out
 
 
-def _signed_sum(out, groups, i, j, base, one, a, b) -> np.ndarray:
+def _minus_base(out, base, rows, plain, a, b) -> np.ndarray:
     """Row c of ``out`` set to what member c counts against the columns
-    of ``a`` and ``b``, given, against the same columns, the counts of the
-    all-true row (``one``), of the rows of ``a`` and of the rows of ``b``:
-    b[base_c] for the sign pattern (ni, nj) = (0, 0), a[j_c] - b[base_c]
-    for (1, 0), a[i_c] - b[base_c] for (0, 1), and one - a[i_c] - a[j_c]
-    + b[base_c] for (1, 1).  ``groups`` lists each pattern present,
-    numbered ni + 2nj, with its rows; a group's rows are gathered once
-    and scattered once."""
-    for sign, rows in groups:
-        block = b[base[rows]]
-        if sign in (1, 2):
-            np.subtract(a[(j if sign == 1 else i)[rows]], block, out=block)
-        elif sign == 3:
-            block -= a[i[rows]]
-            block -= a[j[rows]]
-            block += one
-        out[rows] = block
+    of ``a`` and ``b``, given the counts of the rows of ``a`` and of ``b``
+    against them: b[base_c], and for the members listed in ``rows``, with
+    ``plain`` their operand that is not negated, a[plain_c] - b[base_c]."""
+    out[:] = b[base]
+    block = out[rows]
+    np.subtract(a[plain], block, out=block)
+    out[rows] = block
     return out
 
 
@@ -137,8 +135,9 @@ class FeatureSet:
     as ``words``, an (m, W) uint64 array with one row of bit-packed words
     per member (``stats.pack_columns``): ``extensions`` unpacks them on
     each read.  The members' co-occurrence matrix ``gram`` is counted
-    when first read, and from then on carried by ``extend`` and
-    ``select``.  The dataset's own columns are the primitive set.
+    when first read, and from then on handed by ``extend`` and ``select``
+    to the set they return.  The dataset's own columns are the primitive
+    set.
     """
 
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
@@ -168,8 +167,9 @@ class FeatureSet:
         appended members are computed in one pass of row operations over
         ``words``: gather each operand's row, XOR the negated ones with
         the all-true row's words, then AND the two.  If this set carries
-        ``gram``, the new set carries its own, grown by ``_grown_gram``
-        without counting the appended members' words.
+        ``gram``, it hands it on: the new set carries its own, grown by
+        ``_grown_gram`` where that pays, and this set counts it again if
+        it is read again.
         """
         rows = {key: row for row, key in enumerate(self.keys)}
         fresh = {}  # key -> member, in order
@@ -191,13 +191,14 @@ class FeatureSet:
         out.words.setflags(write=False)
         if self._gram is not None:
             out._gram = _grown_gram(self._gram, self.words, index.reshape(-1, 2),
-                                    negated.reshape(-1, 2), self.dataset.n)
-            out._gram.setflags(write=False)
+                                    negated.reshape(-1, 2))
+            self._gram = None
         return out
 
     def select(self, mask) -> "FeatureSet":
-        """A new set of the members where ``mask`` is true, in order; it
-        carries the sub-block of ``gram`` if this set carries ``gram``."""
+        """A new set of the members where ``mask`` is true, in order; if
+        this set carries ``gram``, it hands the new set its sub-block, as
+        ``extend`` hands on G."""
         keep = np.flatnonzero(mask).tolist()
         if not keep:
             raise MetricsError("a feature set needs at least one member")
@@ -210,23 +211,21 @@ class FeatureSet:
         if self._gram is not None:
             out._gram = self._gram[np.ix_(keep, keep)]
             out._gram.setflags(write=False)
+            self._gram = None
         return out
 
     @property
     def gram(self) -> np.ndarray:
         """Read-only (m, m) int64 co-occurrence matrix G of the members'
         words, ``stats.cooccurrence``: G[i, j] counts the rows where
-        members i and j both hold.  Counted on first read and kept; from
-        then on ``extend`` and ``select`` carry it to the sets they return,
-        so a set that no caller reads it from never pays for it."""
+        members i and j both hold.  Counted on first read and kept until
+        ``extend`` or ``select`` hands it to the set it returns, so a set
+        holds G only while no later set does, and a set that no caller
+        reads it from never pays for it."""
         if self._gram is None:
             self._gram = cooccurrence(self.words)
             self._gram.setflags(write=False)
         return self._gram
-
-    def drop_gram(self) -> None:
-        """Forget ``gram``, which the next read counts again."""
-        self._gram = None
 
     @property
     def extensions(self) -> np.ndarray:

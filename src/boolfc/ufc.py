@@ -10,7 +10,7 @@ import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
-from .metrics import FeatureSet, MetricsReport, growing_gram_pays, report
+from .metrics import FeatureSet, MetricsReport, report
 from .stats import expected_counts_mask, lambda_from_risk, phi_coefficients
 
 
@@ -107,7 +107,7 @@ def pair_tables(fs: FeatureSet) -> tuple[np.ndarray, ...]:
     a, b, c, d in ``np.triu_indices(fs.m, 1)`` order, the counts int64;
     a is read from ``fs.gram``, the exact co-occurrence matrix of the
     members' words, which a set counts when first read and which
-    ``extend`` and ``select`` carry from then on."""
+    ``extend`` and ``select`` hand on from then on."""
     g = fs.gram
     i, j = np.triu_indices(fs.m, k=1)
     s = np.diagonal(g)
@@ -192,18 +192,8 @@ def ufc_run(d: Dataset, cfg: UfcConfig) -> RunResult:
                 continue  # remove_candidate: shares a member with a popped pair
             used.update((pair.i, pair.j))
             children += construct_new_features(fs.members[pair.i], fs.members[pair.j])
-
-        # G is grown only where that is estimated cheaper than counting
-        # the set that pruning keeps, without the pairs' 2p members; the
-        # pairs share no member, so each has its own base
-        p = len(used) // 2
-        kept = fs.m + len(children) - 2 * p
-        if not growing_gram_pays(fs.m, len(children), p, kept, fs.words.shape[1]):
-            fs.drop_gram()
         merged = fs.extend(children)
-        fs.drop_gram()  # each set's G goes once the next one holds its part
         new_fs = prune_obsolete_features(merged, {fs.keys[i] for i in used})
-        merged.drop_gram()
         if new_fs.keys == fs.keys:
             return RunResult(fs, trajectory, logs, "fixpoint", threshold)
 

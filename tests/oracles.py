@@ -74,7 +74,7 @@ MODES = {
     "fixed-0.3x6": FixedMode(0.3, 6),
 }
 
-# stand-ins for ``ufc.growing_gram_pays``: always grow G, always count it
+# stand-ins for ``metrics.growing_gram_pays``: always grow G, always count it
 RULES = {"grow": lambda *size: True, "count": lambda *size: False, "rule": growing_gram_pays}
 
 

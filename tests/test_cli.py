@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import generated_dataset
 
 from boolfc.cli import main, mangle_name
 from boolfc.dataset import Dataset, load_dataset, save_dataset
@@ -537,20 +538,25 @@ def test_noise_zero_pct_common_equals_m(toy_csv, tmp_path):
 
 def test_commands_never_import_numpy_ma(toy_csv, tmp_path):
     """The first ``np.unique`` call imports ``numpy.ma`` (about 15 ms); a
-    fresh construct, metrics or noise process must not pay for it."""
+    fresh construct, metrics or noise process must not pay for it.  The
+    toy run never grows G; a run on the benchmark's M recipe grows it in
+    6 of its 7 steps."""
+    wide = tmp_path / "M.csv"
+    save_dataset(generated_dataset(5000, 60, 0), wide)
     script = (
         "import sys, numpy\n"
         "print('numpy.ma' in sys.modules)\n"
         "from boolfc.cli import main\n"
-        "csv, out = sys.argv[1:]\n"
+        "csv, out, wide = sys.argv[1:]\n"
         "assert main(['construct', csv, '--risk', '0.001', '--out', out]) == 0\n"
+        "assert main(['construct', wide, '--risk', '0.001', '--out', out + '-M']) == 0\n"
         "assert main(['metrics', csv, '--features', out + '.features.txt']) == 0\n"
         "assert main(['noise', csv, '--pcts', '0,0.1', '--replicates', '2',\n"
         "             '--out', out + '.noise.csv']) == 0\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, toy_csv, str(tmp_path / "run")],
+        [sys.executable, "-c", script, toy_csv, str(tmp_path / "run"), str(wide)],
         env=cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

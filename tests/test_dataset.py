@@ -22,7 +22,7 @@ from boolfc.stats import pack_columns, unpack_columns
 
 
 def load(text: str) -> Dataset:
-    return load_dataset(io.StringIO(text))
+    return load_dataset(text.encode())
 
 
 def test_minimal_well_formed():
@@ -44,6 +44,15 @@ def test_bom_and_crlf_from_path_and_bytes(tmp_path):
     path.write_bytes(raw)
     assert load_dataset(str(path)) == plain
     assert load_dataset(raw) == plain
+
+
+def test_path_of_any_kind_and_nothing_else(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a,b\n1,0\n0,1\n")
+    want = Dataset(["a", "b"], np.array([[1, 0], [0, 1]], dtype=bool))
+    assert load_dataset(path) == load_dataset(str(path)) == want
+    with path.open() as stream, pytest.raises(TypeError):
+        load_dataset(stream)  # a text stream is no longer read
 
 
 @pytest.mark.parametrize("raw", [b"a,b\r1,0\r0,1\r", b"a,b\n1,0\r0,1\n"],
@@ -378,9 +387,9 @@ def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular,
 
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_bytes(raw)
-    want = outcome(lambda: load_dataset(io.StringIO(raw.decode("utf-8-sig"))))
+    want = outcome(lambda: ds._load_strict(io.StringIO(raw.decode("utf-8-sig"))))
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        want_from_path = outcome(lambda: load_dataset(fh))
+        want_from_path = outcome(lambda: ds._load_strict(fh))
     with mock.patch.object(ds, "BLOCK_BYTES", budget):
         assert outcome(lambda: load_dataset(raw)) == want
         assert outcome(lambda: load_dataset(str(path))) == want_from_path
@@ -432,7 +441,7 @@ def test_load_at_block_bounds(budget, extra):
         matrix, raw = regular_csv(n, crlf, bom)
         fast = ds._load_regular(raw)
     assert fast is not None and fast == Dataset(names_of(matrix), matrix)
-    assert fast == load_dataset(io.StringIO(raw.decode("utf-8-sig")))
+    assert fast == ds._load_strict(io.StringIO(raw.decode("utf-8-sig")))
 
 
 def _bad_cell(lines, i):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import DATASETS, RULES, brute_oi, ref_evaluate
 
 from boolfc import expr as ex
-from boolfc import metrics, ufc
+from boolfc import metrics
 from boolfc.dataset import Dataset
 from boolfc.metrics import (
     FeatureSet,
@@ -280,22 +280,29 @@ def test_carried_gram_equals_a_count_of_the_words(n, k, seed, data):
     fs = FeatureSet.from_primitives(Dataset([f"f{j}" for j in range(k)], x))
     fs.gram  # counted once, then carried by every step below
     for _ in range(data.draw(st.integers(1, 5))):
+        both_negated = False
         if data.draw(st.booleans()):
             # an operand is a member under 0 to 3 negations, so every sign
             # pattern comes up, and so do repeated pairs and a member
-            # against itself
+            # against itself; no member is a negation, so an odd count
+            # negates it
             operand = st.tuples(st.integers(0, fs.m - 1), st.integers(0, 3))
             pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=10))
             children = [ex.And(negated(fs.members[i], s), negated(fs.members[j], t))
                         for (i, s), (j, t) in pairs]
-            fs = fs.extend(children)
-            if data.draw(st.booleans()):  # again: every key is present
+            both_negated = any(s % 2 and t % 2 and ex.canonical_text(child) not in fs.keys
+                               for ((_, s), (_, t)), child in zip(pairs, children))
+            with mock.patch.object(metrics, "growing_gram_pays", RULES["grow"]):
                 fs = fs.extend(children)
+                if data.draw(st.booleans()):  # again: every key is present
+                    fs = fs.extend(children)
         else:
             mask = data.draw(st.lists(st.booleans(), min_size=fs.m, max_size=fs.m))
             mask[data.draw(st.integers(0, fs.m - 1))] = True
             fs = fs.select(mask)
-        assert fs._gram is not None  # carried: the read below counts nothing
+        # carried, so the read below counts nothing, unless a new member
+        # is a !a & !b, which leaves G to be counted
+        assert (fs._gram is None) == both_negated
         assert not fs.gram.flags.writeable
         assert np.array_equal(fs.gram, cooccurrence(fs.words))
 
@@ -309,30 +316,46 @@ def test_sets_count_no_gram_unless_asked():
         fringe = ufringe_run(DATASETS["gen-250x8-s2"](),
                              UfringeConfig(max_features=40, min_leaf=5, max_depth=5))
     assert grown.m == 5 and fringe.m > 8
-    # asked once, counted once, then carried; dropped, counted again
-    with mock.patch.object(metrics, "cooccurrence", wraps=cooccurrence) as count:
+    # asked once, counted once, then kept until select or extend hands it
+    # to the set it returns; the source set counts it again when read
+    with mock.patch.object(metrics, "cooccurrence", wraps=cooccurrence) as count, \
+            mock.patch.object(metrics, "growing_gram_pays", RULES["grow"]):
         assert grown.gram is grown.gram
-        grown.drop_gram()
+        kept = grown.select([1, 1, 1, 1, 0])
+        assert count.call_count == 1
+        assert grown._gram is None and kept._gram is not None
         assert np.array_equal(grown.gram, cooccurrence(grown.words))
-    assert count.call_count == 2
+        assert count.call_count == 2
+        child = kept.extend([ex.parse("a & !d")])
+        assert kept._gram is None and child._gram is not None
+        assert np.array_equal(kept.gram, cooccurrence(kept.words))
+    assert count.call_count == 4  # and the one base of the grown set
+    assert np.array_equal(child.gram, cooccurrence(child.words))
 
 
 @pytest.mark.parametrize("rule", ["grow", "count"])
 def test_each_step_grows_or_counts_as_the_rule_says(rule):
     d = DATASETS["gen-600x16-s1"]()
-    grow = mock.Mock(wraps=metrics._grown_gram)
+    grown = []  # the G that each step's extend gave the new set
+    real = metrics._grown_gram
+
+    def grow(*args):
+        grown.append(real(*args))
+        return grown[-1]
+
     count = mock.Mock(wraps=metrics.cooccurrence)
-    with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]), \
+    with mock.patch.object(metrics, "growing_gram_pays", RULES[rule]), \
             mock.patch.object(metrics, "_grown_gram", grow), \
             mock.patch.object(metrics, "cooccurrence", count):
         result = ufc_run(d, UfcConfig(RiskMode(0.001)))
     steps = len(result.logs) + (result.stop_reason == "fixpoint")
     assert steps >= 3
+    assert len(grown) == steps  # each step's set hands G to extend
     if rule == "grow":  # the primitives are counted; each step grows
-        assert grow.call_count == steps
+        assert all(g is not None for g in grown)
         assert count.call_count == 1 + steps  # and counts its bases
     else:  # each search counts its set
-        assert grow.call_count == 0
+        assert grown == [None] * steps
         assert count.call_count == len(result.trajectory) - (result.stop_reason != "fixpoint")
 
 

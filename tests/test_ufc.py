@@ -15,7 +15,7 @@ from oracles import (
     scalar_search_reference,
 )
 
-from boolfc import ufc
+from boolfc import metrics
 from boolfc.dataset import Dataset
 from boolfc.expr import (
     And,
@@ -484,7 +484,7 @@ def assert_runs_match_oracle(d, cfg, rules):
     except ValueError as err:
         want, columns = type(err), None
     for rule in rules:
-        with mock.patch.object(ufc, "growing_gram_pays", RULES[rule]):
+        with mock.patch.object(metrics, "growing_gram_pays", RULES[rule]):
             if columns is None:
                 with pytest.raises(want):
                     ufc_run(d, cfg)
