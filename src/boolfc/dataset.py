@@ -16,7 +16,7 @@ import csv
 import io
 import os
 from dataclasses import astuple
-from typing import Iterable, Iterator, TextIO, Union
+from typing import BinaryIO, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class Dataset:
             words = words.copy()
         d = cls.__new__(cls)
         d._bind(feature_names, n, words)
-        if (words & ~row_mask(n)).any():
+        if (words[:, -1] & ~row_mask(n)[-1]).any():  # only the last word has rows >= n
             raise DatasetError(f"a bit past the {n} rows is set")
         return d
 
@@ -130,11 +130,19 @@ def load_dataset(source: Union[str, os.PathLike, bytes]) -> Dataset:
     ``source`` is a filesystem path (``str`` or ``os.PathLike``) or the
     file's raw bytes, UTF-8, with or without a byte-order mark.  Errors
     are reported with their 1-based line number.
+
+    A regular file that can seek is read a block at a time; anything else
+    is read whole, once.
     """
     if isinstance(source, bytes):
         raw = source
     else:
         with open(source, "rb") as fh:
+            if fh.seekable():
+                d = _load_regular(fh)
+                if d is not None:
+                    return d
+                fh.seek(0)
             raw = fh.read()
     d = _load_regular(raw)
     if d is not None:
@@ -146,51 +154,68 @@ def load_dataset(source: Union[str, os.PathLike, bytes]) -> Dataset:
     return _load_strict(io.StringIO(text, newline=""))
 
 
-def _load_regular(raw: bytes) -> Dataset | None:
+def _load_regular(source: Union[bytes, BinaryIO]) -> Dataset | None:
     """The dataset of a regular CSV, or None when the file is not regular.
 
-    Regular: an optional byte-order mark; a header line of k valid
-    names, without quotes or carriage returns; one or more data lines,
-    each exactly k cells of 0 or 1 joined by commas; every line ending
-    in LF, or every line in CRLF.
+    ``source`` is the file's bytes, or a binary stream at its start that
+    can seek.  Regular: an optional byte-order mark; a header line of k
+    valid names, without quotes or carriage returns; one or more data
+    lines, each exactly k cells of 0 or 1 joined by commas; every line
+    ending in LF, or every line in CRLF.  So the number of rows follows
+    from the size.
 
     The body is read as an (n, line length) byte matrix, a block of about
-    ``BLOCK_BYTES``, a multiple of 64 rows, at a time: each block is
-    checked against the row pattern, then its cells are packed into the
-    block's own words of the columns.  No (n, k) temporary is built.
+    ``BLOCK_BYTES``, a multiple of 64 rows, at a time: slices of the bytes,
+    or one buffer that each block of the stream is read into.  Each
+    block's cells are packed into the block's own words of the columns,
+    then the block is checked against the row pattern.  No (n, k)
+    temporary is built.
     """
-    start = len(_BOM) if raw.startswith(_BOM) else 0
-    eol = raw.find(b"\n", start)
-    if eol < 0:
-        return None
-    crlf = raw[eol - 1:eol] == b"\r"
-    header = raw[start:eol - crlf]
-    if b'"' in header or b"\r" in header:
+    if isinstance(source, bytes):
+        header = source[:source.find(b"\n") + 1]
+        size = len(source)
+    else:
+        header = source.readline()
+        size = source.seek(0, os.SEEK_END)
+    crlf = header.endswith(b"\r\n")
+    names = header[len(_BOM) if header.startswith(_BOM) else 0:-1 - crlf]
+    if not header.endswith(b"\n") or b'"' in names or b"\r" in names:
         return None
     try:
-        names = [cell.strip() for cell in next(csv.reader([header.decode()]))]
+        names = [cell.strip() for cell in next(csv.reader([names.decode()]))]
         check_feature_names(names)
     except (UnicodeDecodeError, csv.Error, DatasetError):
         return None
     k = len(names)
-    want = np.frombuffer(b"0," * (k - 1) + b"0" + raw[eol - crlf:eol + 1], np.uint8)
+    want = np.frombuffer(b"0," * (k - 1) + b"0" + b"\r" * crlf + b"\n", np.uint8)
     # '0' and '1' differ only in their lowest bit: mask it out at the cells
     mask = np.frombuffer(b"\xfe\xff" * k + b"\xff" * crlf, np.uint8)
-    body = np.frombuffer(raw, dtype=np.uint8, offset=eol + 1)
-    if body.size == 0 or body.size % want.size:
+    n, rest = divmod(size - len(header), want.size)
+    if n < 1 or rest:
         return None
-    lines = body.reshape(-1, want.size)
-    words = np.empty((k, -(-len(lines) // 64)), dtype=np.uint64)
     rows = max(64, BLOCK_BYTES // want.size // 64 * 64)
-    for top in range(0, len(lines), rows):
-        block = lines[top:top + rows]
-        if not ((block & mask) == want).all():
-            return None
+    if isinstance(source, bytes):
+        lines = np.frombuffer(source, np.uint8, offset=len(header)).reshape(n, want.size)
+    else:
+        buf = np.empty((min(rows, n), want.size), np.uint8)
+        source.seek(len(header))
+    words = np.empty((k, -(-n // 64)), dtype=np.uint64)
+    for top in range(0, n, rows):
+        if isinstance(source, bytes):
+            block = lines[top:top + rows]
+        else:
+            block = buf[:n - top]
+            if source.readinto(block) < block.nbytes:  # the file shrank
+                return None
         # F-ordered cells pack with no copy; unnamed, they are freed at once
         words[:, top // 64:(top + rows) // 64] = pack_columns(
             np.equal(block[:, 0:2 * k:2], ord("1"), order="F"))
+        # the buffer, packed already, is masked where it lies
+        masked = np.bitwise_and(block, mask, out=None if isinstance(source, bytes) else block)
+        if not (masked == want).all():
+            return None
     words.setflags(write=False)
-    return Dataset.from_words(names, words, len(lines))
+    return Dataset.from_words(names, words, n)
 
 
 def csv_table(stream: TextIO, error: type[Exception]) -> Iterator[tuple[int, list[str]]]:
@@ -250,12 +275,13 @@ def _load_strict(stream: TextIO) -> Dataset:
     return Dataset(names, np.array(rows, dtype=bool))
 
 
-def dump_dataset(d: Dataset, out: TextIO) -> None:
+def dump_dataset(d: Dataset, out: BinaryIO) -> None:
     """Write the header, then the rows in blocks of about ``BLOCK_BYTES``,
-    each block unpacked from the dataset's words and rendered as one byte
-    buffer.  A block is a multiple of 8 rows, so it starts on a row that
+    to a binary stream.  Each block is unpacked from the dataset's words
+    and rendered into one reused byte buffer, which is written as it is.
+    A block is a multiple of 8 rows, so it starts on a row that
     ``unpack_columns`` can start from."""
-    out.write(",".join(d.feature_names) + "\n")
+    out.write((",".join(d.feature_names) + "\n").encode())
     n, k = d.n, d.k
     rows = max(8, BLOCK_BYTES // (2 * k) // 8 * 8)
     buf = np.full((min(rows, n), 2 * k), ord(","), dtype=np.uint8)
@@ -264,11 +290,11 @@ def dump_dataset(d: Dataset, out: TextIO) -> None:
         count = min(rows, n - top)
         bits = unpack_columns(d.words, count, top).T  # (k, count): the add runs contiguous
         buf[:count, 0::2] = np.add(bits, ord("0"), dtype=np.uint8).T
-        out.write(buf[:count].tobytes().decode("ascii"))
+        out.write(buf[:count])
 
 
 def save_dataset(d: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         dump_dataset(d, fh)
 
 

@@ -263,36 +263,66 @@ def evaluate_words(exprs: Sequence[FeatureExpr], dataset) -> np.ndarray:
     column's words, so the padding bits stay zero.  Members are walked in
     order, left operand first, so the first unknown name is the one a
     member by member, left to right evaluation meets first.
+
+    The walk plans the computation and counts each node's readers, the
+    later nodes that read its words; nothing is computed until every name
+    is known.  A member's words are computed straight into its output
+    row, and an intermediate's are dropped after its last reader, so only
+    the live ones are held.
     """
-    memo = {}  # canonical text -> words
-    ones = row_mask(dataset.n)
-    out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
+    plan = {}  # canonical text -> (node, its operands' canonical texts), operands first
+    readers = {}  # canonical text -> how many planned nodes read its words
+    rows = {}  # canonical text -> the output rows of the members that have it
     for j, e in enumerate(exprs):
+        rows.setdefault(e.canonical.text, []).append(j)
         # post-order: a node is pushed back as ready above its operands,
         # which are pushed unready with the left one on top
         stack = [(e, False)]
         while stack:
             node, ready = stack.pop()
             key = node.canonical.text
-            if key in memo:
+            if key in plan:
                 continue
             if isinstance(node, Prim):
-                index = dataset.name_index.get(node.name)
-                if index is None:
+                if node.name not in dataset.name_index:
                     err = UnknownFeatureError(f"unknown feature {node.name!r}")
                     err.member = j
                     raise err
-                memo[key] = dataset.words[index]
-            elif isinstance(node, Not):
-                if ready:
-                    memo[key] = memo[node.child.canonical.text] ^ ones
-                else:
-                    stack += ((node, True), (node.child, False))
+                plan[key] = (node, ())
             elif ready:
-                memo[key] = memo[node.left.canonical.text] & memo[node.right.canonical.text]
+                if isinstance(node, Not):
+                    operands = (node.child.canonical.text,)
+                else:
+                    operands = (node.left.canonical.text, node.right.canonical.text)
+                for o in operands:
+                    readers[o] = readers.get(o, 0) + 1
+                plan[key] = (node, operands)
+            elif isinstance(node, Not):
+                stack += ((node, True), (node.child, False))
             else:
                 stack += ((node, True), (node.right, False), (node.left, False))
-        out[j] = memo[e.canonical.text]
+    ones, columns = row_mask(dataset.n), dataset.words
+    out = np.empty((len(exprs), len(ones)), dtype=np.uint64)
+    live = {}  # canonical text -> words, while a reader is still to come
+    for key, (node, operands) in plan.items():
+        members = rows.get(key, ())
+        dest = out[members[0]] if members else None
+        if isinstance(node, Prim):
+            words = columns[dataset.name_index[node.name]]
+            if dest is not None:
+                dest[:] = words
+        elif isinstance(node, Not):
+            words = np.bitwise_xor(live[operands[0]], ones, out=dest)
+        else:
+            words = np.bitwise_and(live[operands[0]], live[operands[1]], out=dest)
+        for j in members[1:]:  # a member listed again
+            out[j] = words
+        for o in operands:
+            readers[o] -= 1
+            if not readers[o]:
+                del live[o]
+        if key in readers:
+            live[key] = words
     return out
 
 

@@ -87,8 +87,12 @@ def pack_columns(x: np.ndarray) -> np.ndarray:
 
 def row_mask(n: int) -> np.ndarray:
     """The words of an all-true column of n rows in ``pack_columns``'
-    layout: set exactly at the bits that hold rows 0 to n - 1."""
-    return pack_columns(np.ones((n, 1), dtype=bool))[0]
+    layout: set exactly at the bits that hold rows 0 to n - 1.  Only a
+    last word of fewer than 64 rows is packed; the others are all true."""
+    words = np.full(-(-n // 64), np.iinfo(np.uint64).max, dtype=np.uint64)
+    if n % 64:
+        words[-1] = pack_columns(np.ones((n % 64, 1), dtype=bool))[0, 0]
+    return words
 
 
 def unpack_columns(words: np.ndarray, n: int, start: int = 0) -> np.ndarray:

@@ -1,4 +1,6 @@
 import io
+import os
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from unittest import mock
@@ -62,6 +64,24 @@ def test_cr_line_ends_load_alike_from_bytes_and_path(raw, tmp_path):
     path.write_bytes(raw)
     want = Dataset(["a", "b"], np.array([[1, 0], [0, 1]], dtype=bool))
     assert load_dataset(raw) == load_dataset(str(path)) == want
+
+
+@pytest.mark.parametrize("raw", [
+    b"a,b\n1,0\n0,1\n",
+    b"\xef\xbb\xbfa,b\r\n1,0\r\n0,1\r\n",
+    b"a,b\r1,0\r0,1\r",
+    b"a, b\n1,0\n\n0,1",
+    b"a,b\n1,0\n0,2\n",
+], ids=["regular", "bom_crlf", "cr_only", "irregular", "bad_cell"])
+def test_path_that_cannot_seek_loads_as_its_bytes(raw, tmp_path):
+    fifo = tmp_path / "data.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(raw,), daemon=True)
+    writer.start()  # it opens the FIFO when the loader does
+    got = outcome(lambda: load_dataset(fifo))
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == outcome(lambda: load_dataset(raw))
 
 
 @pytest.mark.parametrize(
@@ -155,9 +175,9 @@ def test_roundtrip_identity(n, k, rnd):
         [[rnd.random() < 0.5 for _ in range(k)] for _ in range(n)], dtype=bool
     )
     d = Dataset(names, matrix)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     dump_dataset(d, buf)
-    d2 = load(buf.getvalue())
+    d2 = load_dataset(buf.getvalue())
     assert d2 == d
 
 
@@ -393,7 +413,7 @@ def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular,
     with mock.patch.object(ds, "BLOCK_BYTES", budget):
         assert outcome(lambda: load_dataset(raw)) == want
         assert outcome(lambda: load_dataset(str(path))) == want_from_path
-        fast = ds._load_regular(raw)
+        fast = ds._load_regular(io.BytesIO(raw))
     if irregular is None:
         assert fast is not None and fast == want == want_from_path
     else:
@@ -402,7 +422,7 @@ def test_load_equals_strict_parser(tmp_path_factory, n, k, crlf, bom, irregular,
 
 def test_load_declines_header_only_and_empty_input():
     for raw in (b"", b"a,b", b"a,b\n", "\ufeffa,b\r\n".encode()):
-        assert ds._load_regular(raw) is None
+        assert ds._load_regular(io.BytesIO(raw)) is None
     with pytest.raises(DatasetError, match="line 2: no data rows"):
         load_dataset(b"a,b\n")
     with pytest.raises(DatasetError, match="line 1: missing header row"):
@@ -439,9 +459,23 @@ def test_load_at_block_bounds(budget, extra):
         crlf = bom = isinstance(extra, str)
         n = 3 * load_rows(crlf) + 17 if crlf else load_rows(crlf) + extra
         matrix, raw = regular_csv(n, crlf, bom)
-        fast = ds._load_regular(raw)
+        fast = ds._load_regular(io.BytesIO(raw))
+        sliced = load_dataset(raw)
     assert fast is not None and fast == Dataset(names_of(matrix), matrix)
-    assert fast == ds._load_strict(io.StringIO(raw.decode("utf-8-sig")))
+    assert fast == ds._load_strict(io.StringIO(raw.decode("utf-8-sig"))) == sliced
+
+
+def test_stream_shorter_than_its_size_is_not_regular():
+    matrix, raw = regular_csv(200)
+
+    class Shrunk(io.BytesIO):  # reports 64 more lines than it holds
+        def seek(self, pos, whence=os.SEEK_SET):
+            return super().seek(pos, whence) + 64 * 2 * K * (whence == os.SEEK_END)
+
+    # 64 rows a block: the buffer still holds valid rows of the block before
+    with mock.patch.object(ds, "BLOCK_BYTES", 0):
+        assert ds._load_regular(io.BytesIO(raw)) == Dataset(names_of(matrix), matrix)
+        assert ds._load_regular(Shrunk(raw)) is None
 
 
 def _bad_cell(lines, i):
@@ -473,7 +507,7 @@ def test_load_falls_back_at_a_fault_in_one_block(budget, where, mutate, error):
         mutate(lines, i - 1)
         raw = b"".join(line + b"\n" for line in lines)
         assert len(raw) == len(regular)  # the same size: only one block differs
-        assert ds._load_regular(raw) is None
+        assert ds._load_regular(io.BytesIO(raw)) is None
         if error is None:
             assert load_dataset(raw) == Dataset(names_of(matrix), matrix)
         else:
@@ -481,14 +515,18 @@ def test_load_falls_back_at_a_fault_in_one_block(budget, where, mutate, error):
                 load_dataset(raw)
 
 
-def test_load_builds_no_full_size_temporary():
+@pytest.mark.parametrize("source", ["bytes", "path"])
+def test_load_builds_no_full_size_temporary(source, tmp_path):
     # a block's temporaries hold about twice BLOCK_BYTES whatever the file
-    # size, so the file is large enough for a quarter of it to exceed them
+    # size, so the file is large enough for a quarter of it to exceed them;
+    # a path is read a block at a time, never whole
     matrix, raw = regular_csv(50000)
     assert len(raw) >= 1 << 20
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw)
     tracemalloc.start()
     try:
-        d = load_dataset(raw)
+        d = load_dataset(raw if source == "bytes" else path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,9 +539,9 @@ def test_load_builds_no_full_size_temporary():
 
 def per_row_dump(d: Dataset, out) -> None:
     """One join per row: the writer that dump_dataset's blocks replaced."""
-    out.write(",".join(d.feature_names) + "\n")
+    out.write((",".join(d.feature_names) + "\n").encode())
     for row in d.matrix:
-        out.write(",".join("1" if v else "0" for v in row) + "\n")
+        out.write((",".join("1" if v else "0" for v in row) + "\n").encode())
 
 
 WIDE = 75
@@ -516,7 +554,7 @@ def test_dump_equals_per_row_writer(n, order):
     matrix = np.random.default_rng(n).random((n, WIDE)) < 0.5
     matrix = np.asarray(matrix, order=order)  # packed either way: dump reads words
     d = Dataset([f"f{j}" for j in range(WIDE)], matrix)
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.BytesIO()
     dump_dataset(d, got)
     per_row_dump(d, want)
     assert got.getvalue() == want.getvalue()
@@ -529,11 +567,11 @@ def test_very_wide_dataset_dumps_in_eight_row_blocks():
     distinct = rng.random((5, k)) < 0.5
     matrix = distinct[rng.integers(0, len(distinct), n)]
     d = Dataset([f"f{j}" for j in range(k)], matrix)
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.BytesIO()
     dump_dataset(d, got)
     per_row_dump(d, want)
     assert got.getvalue() == want.getvalue()
-    assert load_dataset(got.getvalue().encode()) == d
+    assert load_dataset(got.getvalue()) == d
     assert unique_count(d) == len(np.unique(matrix, axis=0))
 
 
@@ -543,7 +581,7 @@ def test_dataset_from_words_dumps_and_reads_as_its_matrix(n):
     names = [f"f{j}" for j in range(WIDE)]
     d = Dataset.from_words(names, pack_columns(matrix), n)
     assert (d.n, d.k) == (n, WIDE)
-    got, want = io.StringIO(), io.StringIO()
+    got, want = io.BytesIO(), io.BytesIO()
     dump_dataset(d, got)
     per_row_dump(Dataset(names, matrix), want)
     assert got.getvalue() == want.getvalue()

@@ -1,6 +1,7 @@
 import gc
 import io
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from boolfc.expr import (
     dump_features,
     evaluate,
     evaluate_batch,
+    evaluate_words,
     literal_count,
     load_feature_file,
     negation,
@@ -31,6 +33,7 @@ from boolfc.expr import (
     to_text,
 )
 from boolfc.metrics import DuplicateFeatureError, FeatureSet
+from boolfc.stats import pack_columns
 from boolfc.ufc import RiskMode, UfcConfig, ufc_run
 
 # -- parsing -----------------------------------------------------------------
@@ -572,6 +575,32 @@ def test_evaluate_batch_first_unknown_in_member_order_not_canonical_order():
     # canonical form swaps the operands of 'z & y'; the error names 'z'
     with pytest.raises(UnknownFeatureError, match="'z'"):
         evaluate_batch([parse("a & b"), parse("z & y"), parse("y")], d)
+
+
+@pytest.mark.parametrize("length", [10, 300])
+def test_evaluate_words_holds_only_the_live_intermediates(length):
+    # uFC-shaped: each feature conjoins the last one, negated every other
+    # step, with a literal; only the last two are members, so about 1.5 *
+    # length distinct subexpressions are intermediates read once each
+    n = 1 << 20
+    d = small_dataset(np.random.default_rng(length).random((n, 3)) < 0.9)
+    columns = [d.column(name) for name in "abc"]
+    literals = [(Prim("a"), columns[0]), (Not(Prim("b")), ~columns[1]), (Prim("c"), columns[2])]
+    chain, truth = [Prim("a")], columns[0]
+    for i in range(length):
+        last, last_truth = (Not(chain[-1]), ~truth) if i % 2 else (chain[-1], truth)
+        literal, literal_truth = literals[i % 3]
+        chain.append(And(last, literal))
+        truth = last_truth & literal_truth
+    row = n // 8  # bytes of one row of words
+    tracemalloc.start()
+    try:
+        words = evaluate_words(chain[-2:], d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(words[1], pack_columns(truth[:, None])[0])
+    assert peak < words.nbytes + 6 * row, (peak, words.nbytes, row)
 
 
 # -- literal counting --------------------------------------------------------

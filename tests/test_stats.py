@@ -119,6 +119,13 @@ def test_pack_columns_matches_packbits_in_every_layout(n):
         assert np.array_equal(view, before), name  # the input is never written
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 63, 64, 65, 127, 128, 129, BLOCK_ROWS + 1])
+def test_row_mask_is_the_words_of_an_all_true_column(n):
+    want = _packbits_words(np.ones((n, 1), dtype=bool))[0]
+    got = stats.row_mask(n)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+
 # -- co-occurrence kernel ----------------------------------------------------
 
 
