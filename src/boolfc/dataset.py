@@ -131,22 +131,23 @@ def load_dataset(source: Union[str, os.PathLike, bytes]) -> Dataset:
     file's raw bytes, UTF-8, with or without a byte-order mark.  Errors
     are reported with their 1-based line number.
 
-    A regular file that can seek is read a block at a time; anything else
-    is read whole, once.
+    The file is read a block at a time; a path that cannot seek is read
+    whole first.  Bytes are read in place: a ``BytesIO`` shares their
+    buffer.  A file that is not regular is read whole, once, for the
+    strict parser.
     """
     if isinstance(source, bytes):
-        raw = source
+        fh = io.BytesIO(source)
     else:
-        with open(source, "rb") as fh:
-            if fh.seekable():
-                d = _load_regular(fh)
-                if d is not None:
-                    return d
-                fh.seek(0)
-            raw = fh.read()
-    d = _load_regular(raw)
-    if d is not None:
-        return d
+        fh = open(source, "rb")
+    with fh:
+        if not fh.seekable():  # a pipe; `with` still closes the file it opened
+            fh = io.BytesIO(fh.read())
+        d = _load_regular(fh)
+        if d is not None:
+            return d
+        fh.seek(0)
+        raw = fh.read()
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
@@ -154,29 +155,23 @@ def load_dataset(source: Union[str, os.PathLike, bytes]) -> Dataset:
     return _load_strict(io.StringIO(text, newline=""))
 
 
-def _load_regular(source: Union[bytes, BinaryIO]) -> Dataset | None:
+def _load_regular(source: BinaryIO) -> Dataset | None:
     """The dataset of a regular CSV, or None when the file is not regular.
 
-    ``source`` is the file's bytes, or a binary stream at its start that
-    can seek.  Regular: an optional byte-order mark; a header line of k
-    valid names, without quotes or carriage returns; one or more data
-    lines, each exactly k cells of 0 or 1 joined by commas; every line
-    ending in LF, or every line in CRLF.  So the number of rows follows
-    from the size.
+    ``source`` is a binary stream at the file's start that can seek.
+    Regular: an optional byte-order mark; a header line of k valid names,
+    without quotes or carriage returns; one or more data lines, each
+    exactly k cells of 0 or 1 joined by commas; every line ending in LF,
+    or every line in CRLF.  So the number of rows follows from the size.
 
     The body is read as an (n, line length) byte matrix, a block of about
-    ``BLOCK_BYTES``, a multiple of 64 rows, at a time: slices of the bytes,
-    or one buffer that each block of the stream is read into.  Each
-    block's cells are packed into the block's own words of the columns,
-    then the block is checked against the row pattern.  No (n, k)
-    temporary is built.
+    ``BLOCK_BYTES``, a multiple of 64 rows, at a time, into one reused
+    buffer.  Each block's cells are packed into the block's own words of
+    the columns, then the block is masked in place and checked against
+    the row pattern.  No (n, k) temporary is built.
     """
-    if isinstance(source, bytes):
-        header = source[:source.find(b"\n") + 1]
-        size = len(source)
-    else:
-        header = source.readline()
-        size = source.seek(0, os.SEEK_END)
+    header = source.readline()
+    size = source.seek(0, os.SEEK_END)
     crlf = header.endswith(b"\r\n")
     names = header[len(_BOM) if header.startswith(_BOM) else 0:-1 - crlf]
     if not header.endswith(b"\n") or b'"' in names or b"\r" in names:
@@ -194,25 +189,18 @@ def _load_regular(source: Union[bytes, BinaryIO]) -> Dataset | None:
     if n < 1 or rest:
         return None
     rows = max(64, BLOCK_BYTES // want.size // 64 * 64)
-    if isinstance(source, bytes):
-        lines = np.frombuffer(source, np.uint8, offset=len(header)).reshape(n, want.size)
-    else:
-        buf = np.empty((min(rows, n), want.size), np.uint8)
-        source.seek(len(header))
+    buf = np.empty((min(rows, n), want.size), np.uint8)
+    source.seek(len(header))
     words = np.empty((k, -(-n // 64)), dtype=np.uint64)
     for top in range(0, n, rows):
-        if isinstance(source, bytes):
-            block = lines[top:top + rows]
-        else:
-            block = buf[:n - top]
-            if source.readinto(block) < block.nbytes:  # the file shrank
-                return None
+        block = buf[:n - top]
+        if source.readinto(block) < block.nbytes:  # the file shrank
+            return None
         # F-ordered cells pack with no copy; unnamed, they are freed at once
         words[:, top // 64:(top + rows) // 64] = pack_columns(
             np.equal(block[:, 0:2 * k:2], ord("1"), order="F"))
         # the buffer, packed already, is masked where it lies
-        masked = np.bitwise_and(block, mask, out=None if isinstance(source, bytes) else block)
-        if not (masked == want).all():
+        if not (np.bitwise_and(block, mask, out=block) == want).all():
             return None
     words.setflags(write=False)
     return Dataset.from_words(names, words, n)

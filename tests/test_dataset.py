@@ -460,9 +460,9 @@ def test_load_at_block_bounds(budget, extra):
         n = 3 * load_rows(crlf) + 17 if crlf else load_rows(crlf) + extra
         matrix, raw = regular_csv(n, crlf, bom)
         fast = ds._load_regular(io.BytesIO(raw))
-        sliced = load_dataset(raw)
+        from_bytes = load_dataset(raw)
     assert fast is not None and fast == Dataset(names_of(matrix), matrix)
-    assert fast == ds._load_strict(io.StringIO(raw.decode("utf-8-sig"))) == sliced
+    assert fast == ds._load_strict(io.StringIO(raw.decode("utf-8-sig"))) == from_bytes
 
 
 def test_stream_shorter_than_its_size_is_not_regular():
