@@ -120,7 +120,8 @@ def pack_segments(columns: np.ndarray, row_sets) -> tuple[np.ndarray, np.ndarray
     return pack_columns(bits.T), starts  # bits.T packs with no transposed copy
 
 
-def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
+def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """(m, m) int64 joint true-counts of m bit-packed columns, an (m, W)
     uint64 array laid out as ``pack_columns`` makes it, padding bits zero:
     entry (i, j) is the number of rows where columns i and j are both
@@ -131,9 +132,12 @@ def cooccurrence(words: np.ndarray, starts: np.ndarray | None = None) -> np.ndar
     stack holding one such matrix per segment: the counts of several row
     sets, each packed from a word boundary, from one pass over the words.
 
+    ``out``, an int64 array of the result's shape, receives the counts
+    in place of a new array.
+
     ``cross_counts`` with both operands ``words``: only the blocks on and
     above the diagonal are counted, and each is mirrored below it."""
-    return _popcount_blocks(words, None, starts)
+    return _popcount_blocks(words, None, starts, out)
 
 
 def cross_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,19 +154,20 @@ def cross_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     small matrix takes one call, a large one a row or part of a row per
     call, and a block's AND-ed words exceed ``BLOCK_BYTES`` only where one
     pair's words do (n above 2^21 rows)."""
-    return _popcount_blocks(a, b, None)
+    return _popcount_blocks(a, b, None, None)
 
 
-def _popcount_blocks(a, b, starts) -> np.ndarray:
+def _popcount_blocks(a, b, starts, out) -> np.ndarray:
     """The one popcount loop: ``cross_counts`` of ``a`` against ``b``, or
-    with ``b`` None, ``cooccurrence`` of ``a`` (with ``starts``, segmented)."""
+    with ``b`` None, ``cooccurrence`` of ``a`` (with ``starts``, segmented),
+    written into ``out`` when it is given."""
     square = b is None
     b = a if square else b
     rows = max(1, BLOCK_BYTES // max(1, b.nbytes))  # n = 0: no words
     cols = len(b) if b.nbytes <= BLOCK_BYTES else BLOCK_BYTES // (8 * b.shape[1])
     cols = max(1, cols)
     shape = (len(a), len(b)) if starts is None else (len(starts), len(a), len(b))
-    g = np.empty(shape, dtype=np.int64)
+    g = np.empty(shape, dtype=np.int64) if out is None else out
     # a uint32 sum of the per-word counts is exact below 2^32 rows, and
     # took 8-37% off a call at W = 79-1563 against the default uint64 one
     # on a 2-vCPU Xeon VM

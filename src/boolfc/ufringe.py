@@ -59,10 +59,11 @@ def build_clustering_tree(
     tree grows breadth first from a queue of nodes that can split, taken a
     batch at a time: a node's scoring temporaries take 32 * m^2 bytes, and
     a batch holds as many nodes as fit in ``_TREE_BATCH_BYTES``, but at
-    least one, so above m = 256 every batch is one node over budget.  One
-    segmented popcount over the batch's rows, each node's packed from a
-    word boundary, gives the co-occurrence counts G of every node in the
-    batch.  Splitting on f, the true child's column sums are G[f] and the
+    least one, so above m = 256 every batch is one node over budget.  They
+    are views of one workspace allocated once per tree, G's part taking
+    the first floats once g[ok] is read.  One segmented popcount over the
+    batch's rows, each node's packed from a word boundary, gives the
+    co-occurrence counts G of every node in the batch.  Splitting on f, the true child's column sums are G[f] and the
     false child's are diag(G) - G[f], so every allowed split (both children
     with at least ``min_leaf`` rows) of every node in the batch is scored
     at once.  The split minimizing the size-weighted children variance
@@ -70,12 +71,20 @@ def build_clustering_tree(
     the best only when beaten by more than 1e-12, so near-ties go to the
     lowest index; the node splits only when that lowers its variance by
     more than 1e-12.  Child rows keep their ascending order."""
-    ext = fs.extensions  # (n, m)
-    take = max(1, _TREE_BATCH_BYTES // (4 * 8 * fs.m * fs.m))  # G, g[ok], two floats
+    ext, m = fs.extensions, fs.m  # (n, m)
+    # G, g[ok], two floats; a batch never outnumbers the queue, whose nodes
+    # hold disjoint sets of at least 2 * min_leaf rows
+    take = max(1, min(_TREE_BATCH_BYTES // (4 * 8 * m * m), d.n // (2 * cfg.min_leaf)))
+    # per-batch arrays of this size are mapped fresh or trimmed from the
+    # heap as glibc's malloc thresholds stand after earlier frees, and each
+    # batch faults them in again: `construct --algorithm ufringe` on M took
+    # 3787-4562 page faults so, 2235-2245 with this workspace (seeds 0, 3, 7)
+    work = np.empty((3, take * m * m))  # G, then the first floats; g[ok]; the second floats
+    ints = work[:2].view(np.int64)
 
-    def variance(sums: np.ndarray, size) -> np.ndarray:
-        p = sums / size
-        q = 1.0 - p
+    def variance(sums: np.ndarray, size, p=None, q=None) -> np.ndarray:
+        p = np.divide(sums, size, out=p)
+        q = np.subtract(1.0, p, out=q)
         q *= p  # p * (1 - p): a product's bits do not depend on operand order
         return q.sum(axis=-1)
 
@@ -91,16 +100,21 @@ def build_clustering_tree(
     while queue:
         batch = [queue.popleft() for _ in range(min(take, len(queue)))]
         sizes = np.array([node.rows.size for node, _ in batch])
-        g = cooccurrence(*pack_segments(ext, [node.rows for node, _ in batch]))
+        g = cooccurrence(*pack_segments(ext, [node.rows for node, _ in batch]),
+                         out=ints[0, :len(batch) * m * m].reshape(-1, m, m))
         n_true = np.diagonal(g, axis1=1, axis2=2).copy()
         n_false = sizes[:, None] - n_true
         ok = (n_true >= cfg.min_leaf) & (n_false >= cfg.min_leaf)
         at, feature = np.nonzero(ok)  # each allowed split's node and feature
-        sums = g[ok]  # true children's column sums, one row per split
-        del g  # the stack goes before the float buffers
+        # g[ok]: the true children's column sums, one row per split; a take
+        # in the default mode, which may raise, writes to a temporary first
+        sums = np.take(g.reshape(-1, m), at * m + feature, axis=0, mode="clip",
+                       out=ints[1, :at.size * m].reshape(-1, m))
+        del g  # the first floats take its place
+        p, q = (w[:sums.size].reshape(sums.shape) for w in work[0::2])
         nt, nf = n_true[ok], n_false[ok]
-        vt = variance(sums, nt[:, None])
-        vf = variance(np.subtract(n_true[at], sums, out=sums), nf[:, None])
+        vt = variance(sums, nt[:, None], p, q)
+        vf = variance(np.subtract(n_true[at], sums, out=sums), nf[:, None], p, q)
         scores = ((nt * vt + nf * vf) / sizes[at]).tolist()
         feature, vt, vf = feature.tolist(), vt.tolist(), vf.tolist()
         end = 0

@@ -274,6 +274,15 @@ def test_single_word_segments_equal_the_reduce_path():
                           cooccurrence(longer, longer_starts)[: len(sizes)])
 
 
+def test_cooccurrence_writes_into_out():
+    x = np.random.default_rng(9).random((300, 7)) < 0.4
+    words, starts, _ = _segmented(x, [100, 200])
+    for args, shape in (((words, starts), (2, 7, 7)), ((words,), (7, 7))):
+        out = np.full(shape, -1, dtype=np.int64)
+        assert cooccurrence(*args, out=out) is out
+        assert np.array_equal(out, cooccurrence(*args))
+
+
 @given(
     st.lists(st.integers(1, 200), min_size=1, max_size=6),
     st.integers(1, 20),

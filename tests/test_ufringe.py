@@ -282,8 +282,8 @@ def test_small_nodes_never_reach_the_kernel():
     cfg = UfringeConfig(min_leaf=8, max_depth=8)
     counted = []  # rows per segment the kernel counted
 
-    def kernel(words, starts=None):
-        g = cooccurrence(words, starts)
+    def kernel(words, starts=None, out=None):
+        g = cooccurrence(words, starts, out)
         counted.extend(g[:, 0, 0].tolist())
         return g
 
@@ -304,6 +304,23 @@ def test_small_nodes_never_reach_the_kernel():
     assert small > 0  # some node is a leaf only because it is small
     assert min(counted) >= 2 * cfg.min_leaf
     assert sorted(counted) == sorted(scored)
+
+
+def test_batches_count_into_one_workspace():
+    # a budget of 0 scores one node per batch; every batch's G lands in the
+    # same buffer, so no batch allocates one
+    d, fs, cfg = constructed_feature_case()
+    outs = []
+
+    def kernel(words, starts=None, out=None):
+        outs.append(out)
+        return cooccurrence(words, starts, out)
+
+    with mock.patch.object(ufringe, "_TREE_BATCH_BYTES", 0), \
+            mock.patch.object(ufringe, "cooccurrence", kernel):
+        tree = build_clustering_tree(d, fs, cfg)
+    assert_same_tree(tree, loop_clustering_tree(d, fs, cfg))
+    assert len(outs) > 1 and all(np.shares_memory(o, outs[0]) for o in outs)
 
 
 def test_fringe_complete_depth2_tree():
