@@ -178,7 +178,8 @@ def test_missing_file_exits_1(tmp_path, capsys):
      "construct-run-json-is-dir", "transform-unknown-feature",
      "noise-fraction-above-1", "pareto-huge-cell", "transform-huge-cell",
      "sweep-lambda-step-0", "sweep-iters-max-0", "sweep-lambda-to-inf",
-     "sweep-lambda-step-nan", "noise-no-fraction", "pareto-nan-cell"],
+     "sweep-lambda-step-nan", "noise-no-fraction", "pareto-nan-cell",
+     "construct-max-features-negative"],
 )
 def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     given = tmp_path / "given"
@@ -208,6 +209,9 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
         argv = ["sweep", toy_csv, "--lambda-from", "0.1", "--lambda-to", to,
                 "--lambda-step", step, "--iters-max", iters,
                 "--out", str(out / "sweep.csv")]
+    elif case == "construct-max-features-negative":
+        argv = ["construct", toy_csv, "--algorithm", "ufringe",
+                "--max-features", "-5", "--out", str(out / "x")]
     elif case == "construct-run-json-is-dir":
         # the features file opens, the run file cannot
         (out / "x.run.json").mkdir()
@@ -230,6 +234,8 @@ def test_failed_command_writes_no_file(case, toy_csv, tmp_path, capsys):
     assert err.startswith(f"error: line {line}: " if line else "error: ")
     if case == "noise-fraction-above-1":  # the message names the fraction
         assert "1.5" in err
+    if case == "construct-max-features-negative":
+        assert err == "error: max_features must be >= 1\n"
     assert sorted(out.iterdir()) == before
 
 

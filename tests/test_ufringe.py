@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import dataset_from_columns
+from oracles import dataset_from_columns, generated_dataset
 
+from boolfc import expr as ex
 from boolfc import ufringe
 from boolfc.dataset import Dataset
 from boolfc.expr import And, Not, canonical_text, canonicalize, parse
@@ -247,6 +248,57 @@ def test_tree_matches_per_feature_loop_on_constructed_features():
     assert can_split == [True, False, True]
 
 
+@pytest.mark.parametrize("seed, rounds", [(0, 1), (1, 1), (2, 1), (3, 1), (0, 2)])
+def test_tree_matches_per_feature_loop_at_bench_size(seed, rounds):
+    # the benchmark's inputs at 2000x20, and a second round's feature set:
+    # thousands of rows, where two splits' scores can lie closer than at
+    # the few rows the hypothesis tests draw
+    d, cfg = generated_dataset(2000, 20, seed), UfringeConfig()
+    fs = FeatureSet.from_primitives(d)
+    if rounds == 2:
+        fs = fs.extend(extract_fringe_features(build_clustering_tree(d, fs, cfg), fs))
+    assert_same_tree(build_clustering_tree(d, fs, cfg),
+                     loop_clustering_tree(d, fs, cfg))
+
+
+def scan_splits(scores: np.ndarray) -> list[int]:
+    """Reference: each row scanned in column order, the best replaced only
+    when beaten by more than 1e-12."""
+    picks = []
+    for row in scores.tolist():
+        best = 0
+        for s in range(1, len(row)):
+            if row[s] < row[best] - 1e-12:
+                best = s
+        picks.append(best)
+    return picks
+
+
+@st.composite
+def near_tie_scores(draw):
+    """Score rows of a few base values plus multiples of 0.5e-12, so that
+    near-ties fall on both sides of 1e-12, with +inf entries and rows."""
+    width = draw(st.integers(1, 8))
+    bases = draw(st.lists(st.sampled_from([0.0, 0.25, 0.3, 1.0, 7.5]),
+                          min_size=1, max_size=3))
+    entry = st.one_of(
+        st.just(np.inf),
+        st.builds(lambda base, k: base + k * 0.5e-12,
+                  st.sampled_from(bases), st.integers(-5, 5)),
+    )
+    rows = st.one_of(st.just([np.inf] * width),
+                     st.lists(entry, min_size=width, max_size=width))
+    return np.array(draw(st.lists(rows, min_size=1, max_size=6)))
+
+
+@given(near_tie_scores())
+# the first minimum is column 1, but it beats column 0 by only 0.5e-12
+@example(np.array([[1.0, 1.0 - 0.5e-12], [np.inf, np.inf]]))
+@settings(max_examples=500, deadline=None)
+def test_choose_splits_matches_the_scan(scores):
+    assert ufringe._choose_splits(scores).tolist() == scan_splits(scores)
+
+
 # a budget of 0 scores one node per batch, a huge one the whole queue
 BATCH_BUDGETS = pytest.mark.parametrize("budget", [0, 1 << 60], ids=["one", "all"])
 
@@ -405,6 +457,19 @@ def test_fringe_order_matches_recursive_walk():
     assert len(got) > 50 and got == want
 
 
+def test_fringe_negates_each_member_once():
+    d = generated_dataset(2000, 20, 0)
+    fs = FeatureSet.from_primitives(d)
+    tree = build_clustering_tree(d, fs, UfringeConfig())
+    with mock.patch.object(ex, "negation", wraps=ex.negation) as spy:
+        got = [canonical_text(f) for f in extract_fringe_features(tree, fs)]
+    assert got == [canonical_text(f) for f in recursive_fringe(tree, fs)]
+    negated = [canonical_text(call.args[0]) for call in spy.call_args_list]
+    # more fringe features than distinct literals, each member negated once
+    assert len(got) > 2 * fs.m
+    assert sorted(negated) == sorted(set(negated))
+
+
 def test_fringe_of_a_chain_past_the_recursion_limit():
     # node i splits on x or y in turn; its true child is a leaf and its
     # false child node i + 1, down to a leaf at depth 3000
@@ -424,6 +489,7 @@ def test_fringe_of_a_chain_past_the_recursion_limit():
 
 
 @pytest.mark.parametrize("kwargs, match", [
+    ({"max_features": 0}, "max_features must be >= 1"),
     ({"min_leaf": 0}, "min_leaf must be >= 1"),
     ({"max_depth": 1}, "max_depth must be >= 2"),
 ])
