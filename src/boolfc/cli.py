@@ -14,6 +14,10 @@ import os
 import sys
 from dataclasses import asdict
 
+# boolfc makes no BLAS call: spare OpenBLAS threads would only spin
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import expr as ex
 from .dataset import Dataset, load_dataset, save_dataset
 from .metrics import DuplicateFeatureError, FeatureSet, report

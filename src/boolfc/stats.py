@@ -187,7 +187,7 @@ def _popcount_blocks(a, b, starts, out) -> np.ndarray:
                 continue
             if len(starts) < a.shape[1]:  # some segment spans several words
                 counts = np.add.reduceat(counts, starts, axis=2, dtype=np.int64)
-            g[:, i:i2, j:j2] = np.moveaxis(counts, 2, 0)
+            g[:, i:i2, j:j2] = counts.transpose(2, 0, 1)
             g[:, j:j2, i:i2] = g[:, i:i2, j:j2].transpose(0, 2, 1)
     return g
 
