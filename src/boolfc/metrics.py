@@ -1,8 +1,8 @@
 """Feature-set quality and complexity measures: OI, C0, C1, RMS; and
 FeatureSet, which owns its co-occurrence matrix G: it counts G when first
-read, and ``extend`` and ``select`` hand it on, ``extend`` growing it
-(``_grown_gram``) only where ``growing_gram_pays`` finds that cheaper
-than counting it again."""
+read, and ``extend`` and ``select`` hand it on, ``extend`` as a pending
+grow that ``select`` narrows and the next read applies (``_grown_gram``),
+into the kept members' block only."""
 
 from __future__ import annotations
 
@@ -52,76 +52,54 @@ def _operand_rows(e: ex.FeatureExpr, rows: dict) -> list[tuple[int, bool]]:
     return found
 
 
-# Growing G costs a fixed 100 000 words' count per call, plus 2 words'
-# count per entry of the grown matrix, besides the bases it counts.  On
-# a 2-vCPU Xeon VM, growing alone took 150-210 us a call and 5-7 ns an
-# entry, and counting 3-6 ns a word (m = 20-320, W = 1-313); the fixed
-# cost is taken at twice that fit, because a run's last step grows
-# counts that are never read: over 945 paired steps of noise-S runs,
-# 50 000 spent 5% more than never growing, and 100 000 the same.
-_GROW_CALL_WORDS = 100_000
-_GROW_ENTRY_WORDS = 2
-
-
-def growing_gram_pays(m: int, q: int, p: int, kept: int, w: int) -> bool:
-    """Whether growing the co-occurrence matrix of m members by q members
-    with p distinct bases, all of w words, is estimated to cost less than
-    counting, from their words, the matrix of the ``kept`` members that
-    are left once the caller prunes, as the next read of ``gram`` would."""
-    grow = w * (p * m + p * (p + 1) // 2) + _GROW_ENTRY_WORDS * (m + q) ** 2
-    return _GROW_CALL_WORDS + grow < w * kept * (kept + 1) // 2
-
-
-def _grown_gram(g, words, operands, negated) -> np.ndarray | None:
-    """The co-occurrence matrix of q members appended to m members whose
-    words are ``words`` and whose matrix is ``g``: member c is the AND of
-    rows i = ``operands[c, 0]`` and j = ``operands[c, 1]``, each negated
-    where ``negated[c]`` is 1.  Exact, and only the distinct bases
-    x_i & x_j are counted, against the m members and each other.
+def _grown_gram(g, words, operands, negated, keep) -> np.ndarray:
+    """The co-occurrence matrix of the members ``keep`` of m members, whose
+    words are ``words`` and whose matrix is ``g``, with q members appended:
+    member m + c is the AND of rows i = ``operands[c, 0]`` and
+    j = ``operands[c, 1]``, each negated where ``negated[c]`` is 1, and no
+    member negates both.  ``keep`` is ascending.  Exact, and only the
+    distinct bases x_i & x_j of the kept children are counted, against the
+    m members and each other.
 
     The triple operator negates at most one operand, so with b its base,
-    member c is, as a 0/1 vector, b, x_j - b (x_i negated) or x_i - b
+    member m + c is, as a 0/1 vector, b, x_j - b (x_i negated) or x_i - b
     (x_j negated): each of its counts is b's, or a known count minus b's.
-    None, for G to be counted when next read, where a member negates both
-    operands, or where ``growing_gram_pays`` finds counting cheaper; the
-    members kept are taken as the m + q less the distinct operands, which
-    uFC prunes.  Cost: p(m + p) counted entries for p distinct bases,
-    against (m + q)²/2 for a count from the words."""
-    m, q = len(g), len(operands)
-    bases = np.minimum(*operands.T) * m + np.maximum(*operands.T)  # a key per base
-    kept = m + q - len(set(operands.ravel().tolist()))
-    # counted in Python sets, for runs that never grow G, like noise-S's:
-    # np.unique before this decision raised their peak RSS by 0.3 MiB and
-    # doubled its cost
-    if (negated[:, 0] & negated[:, 1]).any() or not growing_gram_pays(
-            m, q, len(set(bases.tolist())), kept, words.shape[1]):
-        return None
-    pairs, base = np.unique(bases, return_inverse=True)
+    Cost: p(m + p) counted entries for p distinct bases, against
+    kept²/2 for a count from the words."""
+    m = len(g)
+    old, new = keep[keep < m], keep[keep >= m] - m
+    operands, negated = operands[new], negated[new]
+    # a key per base, and each child's base row, in order of first use:
+    # sorting the keys (np.unique) pages in NumPy's sort code, 0.3 MiB of RSS
+    first = {}
+    keys = (np.minimum(*operands.T) * m + np.maximum(*operands.T)).tolist()
+    base = np.array([first.setdefault(key, len(first)) for key in keys], dtype=np.intp)
+    pairs = np.array(list(first), dtype=np.intp)
     base_words = words[pairs // m] & words[pairs % m]
     h = cross_counts(base_words, words)  # (p, m): bases against members
     k = cooccurrence(base_words)  # (p, p): bases against bases
     rows = np.flatnonzero(negated.any(axis=1))  # x - b, x the operand not negated
     plain = operands[rows, negated[rows, 0]]
-    out = np.empty((m + q, m + q), dtype=np.int64)
-    out[:m, :m] = g
-    _minus_base(out[m:, :m], base, rows, plain, g, h)
-    out[:m, m:] = out[m:, :m].T
-    to_bases = _minus_base(np.empty((q, len(pairs)), dtype=np.int64), base, rows,
-                           plain, h.T, k)
-    _minus_base(out[m:, m:], base, rows, plain, out[:m, m:], to_bases.T)
-    out.setflags(write=False)
+    # kept children against all m members: a negated child's count against
+    # another child reads the row of its plain operand, which may be pruned
+    to_members = _minus_base(base, rows, plain, g, h)
+    to_bases = _minus_base(base, rows, plain, h.T, k)
+    r = len(old)
+    out = np.empty((len(keep), len(keep)), dtype=np.int64)
+    out[:r, :r] = g[np.ix_(old, old)]
+    out[r:, :r] = to_members[:, old]
+    out[:r, r:] = out[r:, :r].T
+    out[r:, r:] = _minus_base(base, rows, plain, to_members.T, to_bases.T)
     return out
 
 
-def _minus_base(out, base, rows, plain, a, b) -> np.ndarray:
-    """Row c of ``out`` set to what member c counts against the columns
-    of ``a`` and ``b``, given the counts of the rows of ``a`` and of ``b``
-    against them: b[base_c], and for the members listed in ``rows``, with
+def _minus_base(base, rows, plain, a, b) -> np.ndarray:
+    """What each child c counts against the columns of ``a`` and ``b``,
+    a row per child, given the counts of the rows of ``a`` and of ``b``
+    against them: b[base_c], and for the children listed in ``rows``, with
     ``plain`` their operand that is not negated, a[plain_c] - b[base_c]."""
-    out[:] = b[base]
-    block = out[rows]
-    np.subtract(a[plain], block, out=block)
-    out[rows] = block
+    out = b[base]
+    out[rows] = a[plain] - out[rows]
     return out
 
 
@@ -136,8 +114,8 @@ class FeatureSet:
     per member (``stats.pack_columns``): ``extensions`` unpacks them on
     each read.  The members' co-occurrence matrix ``gram`` is counted
     when first read, and from then on handed by ``extend`` and ``select``
-    to the set they return.  The dataset's own columns are the primitive
-    set.
+    to the set they return, by ``extend`` as a grow applied on read.  The
+    dataset's own columns are the primitive set.
     """
 
     def __init__(self, members: Sequence[ex.FeatureExpr], dataset: Dataset):
@@ -167,9 +145,11 @@ class FeatureSet:
         appended members are computed in one pass of row operations over
         ``words``: gather each operand's row, XOR the negated ones with
         the all-true row's words, then AND the two.  If this set carries
-        ``gram``, it hands it on: the new set carries its own, grown by
-        ``_grown_gram`` where that pays, and this set counts it again if
-        it is read again.
+        ``gram``, it hands it on, and counts it again if it is read again:
+        the new set carries a pending grow, which counts nothing until its
+        ``gram`` is read, unless a new member negates both operands; then
+        it counts G from its words when read.  A pending grow that is
+        not yet read is dropped, not handed on.
         """
         rows = {key: row for row, key in enumerate(self.keys)}
         fresh = {}  # key -> member, in order
@@ -180,25 +160,27 @@ class FeatureSet:
             if key not in rows and key not in fresh:
                 fresh[key] = e
                 operands += pair
-        index, negated = np.array(operands, dtype=np.intp).reshape(-1, 2).T
-        words = self.words[index]  # rows 2i and 2i + 1: member i's operands
+        # (2, q): the row of each member's first and second operand, and its sign
+        index, negated = np.array(operands, dtype=np.intp).reshape(-1, 2, 2).T
+        words = self.words[index]
         words[negated.astype(bool)] ^= row_mask(self.dataset.n)
         out = copy.copy(self)
         out.members += tuple(fresh.values())
         out.keys += tuple(fresh)
         out.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        out.words = np.concatenate([self.words, words[0::2] & words[1::2]])
+        out.words = np.concatenate([self.words, words[0] & words[1]])
         out.words.setflags(write=False)
-        if self._gram is not None:
-            out._gram = _grown_gram(self._gram, self.words, index.reshape(-1, 2),
-                                    negated.reshape(-1, 2))
-            self._gram = None
+        out._gram = None
+        if isinstance(self._gram, np.ndarray) and not negated.all(axis=0).any():
+            out._gram = (self._gram, self.words, index.T, negated.T, np.arange(out.m))
+        self._gram = None
         return out
 
     def select(self, mask) -> "FeatureSet":
         """A new set of the members where ``mask`` is true, in order; if
-        this set carries ``gram``, it hands the new set its sub-block, as
-        ``extend`` hands on G."""
+        this set carries ``gram``, it hands the new set its sub-block, and
+        if it carries a pending grow, the grow of the kept members only;
+        this set counts G again if it is read again."""
         keep = np.flatnonzero(mask).tolist()
         if not keep:
             raise MetricsError("a feature set needs at least one member")
@@ -208,22 +190,27 @@ class FeatureSet:
         out.literal_counts = tuple(self.literal_counts[i] for i in keep)
         out.words = self.words[keep]
         out.words.setflags(write=False)
-        if self._gram is not None:
+        out._gram = self._gram
+        if isinstance(self._gram, np.ndarray):
             out._gram = self._gram[np.ix_(keep, keep)]
             out._gram.setflags(write=False)
-            self._gram = None
+        elif self._gram is not None:  # a pending grow: compose the keep index
+            out._gram = (*self._gram[:-1], self._gram[-1][keep])
+        self._gram = None
         return out
 
     @property
     def gram(self) -> np.ndarray:
         """Read-only (m, m) int64 co-occurrence matrix G of the members'
         words, ``stats.cooccurrence``: G[i, j] counts the rows where
-        members i and j both hold.  Counted on first read and kept until
-        ``extend`` or ``select`` hands it to the set it returns, so a set
-        holds G only while no later set does, and a set that no caller
-        reads it from never pays for it."""
-        if self._gram is None:
-            self._gram = cooccurrence(self.words)
+        members i and j both hold.  Computed on first read, from a pending
+        grow where ``extend`` left one and otherwise from the words, and
+        kept until ``extend`` or ``select`` hands it to the set it
+        returns, so a set holds G only while no later set does, and a set
+        that no caller reads it from never pays for it."""
+        if not isinstance(self._gram, np.ndarray):
+            self._gram = (cooccurrence(self.words) if self._gram is None
+                          else _grown_gram(*self._gram))
             self._gram.setflags(write=False)
         return self._gram
 

@@ -24,7 +24,7 @@ from boolfc.expr import (
     negation,
     to_text,
 )
-from boolfc.metrics import MetricsError, growing_gram_pays
+from boolfc.metrics import MetricsError
 from boolfc.stats import ContingencyTable, lambda_from_risk
 from boolfc.ufc import CandidatePair, FixedMode, RiskMode, UfcConfig, UfcError
 
@@ -73,9 +73,6 @@ MODES = {
     "fixed-0.05x4": FixedMode(0.05, 4),
     "fixed-0.3x6": FixedMode(0.3, 6),
 }
-
-# stand-ins for ``metrics.growing_gram_pays``: always grow G, always count it
-RULES = {"grow": lambda *size: True, "count": lambda *size: False, "rule": growing_gram_pays}
 
 
 @st.composite

@@ -2,9 +2,9 @@
 fresh set of the same members and derive only what they add; the words
 equal a recursive evaluation over bool columns, with every bit past row n
 zero; the carried co-occurrence matrix G equals a fresh count of the
-words, and each uFC step grows or counts G as the rule says; and the
-uFRINGE loop built on the store reproduces the rebuild-every-iteration
-loop.  The whole uFC loop is checked against ``oracles.oracle_run_json``
+words after any chain of steps, and a uFC run grows it on each read
+after the first and never after its last search; and the uFRINGE loop
+built on the store reproduces the rebuild-every-iteration loop.  The whole uFC loop is checked against ``oracles.oracle_run_json``
 in ``test_ufc.py``."""
 
 import re
@@ -14,20 +14,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import DATASETS, RULES, brute_oi, ref_evaluate
+from oracles import DATASETS, brute_oi, generated_dataset, ref_evaluate
 
 from boolfc import expr as ex
-from boolfc import metrics
+from boolfc import metrics, stats, ufc
 from boolfc.dataset import Dataset
 from boolfc.metrics import (
     FeatureSet,
     MetricsError,
-    growing_gram_pays,
     overlapping_index_detail,
     report,
 )
-from boolfc.stats import cooccurrence
-from boolfc.ufc import RiskMode, UfcConfig, construct_new_features, ufc_run
+from boolfc.stats import cooccurrence, cross_counts
+from boolfc.ufc import FixedMode, RiskMode, UfcConfig, construct_new_features, ufc_run
 from boolfc.ufringe import (
     UfringeConfig,
     build_clustering_tree,
@@ -271,100 +270,148 @@ def test_store_matches_bool_oracle_and_keeps_padding_zero(n):
 # -- the carried co-occurrence matrix ------------------------------------------
 
 
+class Kernel:
+    """Counts the calls of ``metrics.cooccurrence`` and ``cross_counts``."""
+
+    def __enter__(self):
+        self.patches = [mock.patch.object(metrics, fn.__name__, wraps=fn)
+                        for fn in (cooccurrence, cross_counts)]
+        self.count, self.cross = (patch.start() for patch in self.patches)
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self.patches:
+            patch.stop()
+
+    def calls(self):
+        return self.count.call_count, self.cross.call_count
+
+
 @given(st.integers(1, 130), st.integers(2, 5), st.integers(0, 2**32 - 1), st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_carried_gram_equals_a_count_of_the_words(n, k, seed, data):
     rng = np.random.default_rng(seed)
     # densities 0 and 1 give constant columns, and so children of no support
     x = rng.random((n, k)) < rng.choice([0.0, 0.3, 0.5, 1.0], k)
-    fs = FeatureSet.from_primitives(Dataset([f"f{j}" for j in range(k)], x))
-    fs.gram  # counted once, then carried by every step below
-    for _ in range(data.draw(st.integers(1, 5))):
-        both_negated = False
-        if data.draw(st.booleans()):
-            # an operand is a member under 0 to 3 negations, so every sign
-            # pattern comes up, and so do repeated pairs and a member
-            # against itself; no member is a negation, so an odd count
-            # negates it
-            operand = st.tuples(st.integers(0, fs.m - 1), st.integers(0, 3))
-            pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=10))
-            children = [ex.And(negated(fs.members[i], s), negated(fs.members[j], t))
-                        for (i, s), (j, t) in pairs]
-            both_negated = any(s % 2 and t % 2 and ex.canonical_text(child) not in fs.keys
-                               for ((_, s), (_, t)), child in zip(pairs, children))
-            with mock.patch.object(metrics, "growing_gram_pays", RULES["grow"]):
-                fs = fs.extend(children)
-                if data.draw(st.booleans()):  # again: every key is present
-                    fs = fs.extend(children)
-        else:
-            mask = data.draw(st.lists(st.booleans(), min_size=fs.m, max_size=fs.m))
-            mask[data.draw(st.integers(0, fs.m - 1))] = True
-            fs = fs.select(mask)
-        # carried, so the read below counts nothing, unless a new member
-        # is a !a & !b, which leaves G to be counted
-        assert (fs._gram is None) == both_negated
-        assert not fs.gram.flags.writeable
+    sets = [FeatureSet.from_primitives(Dataset([f"f{j}" for j in range(k)], x))]
+    # what the next read of each set counts: its words, the bases of a
+    # pending grow, or nothing, for G it carries
+    reads = ["words"]
+    kernel_calls = {"words": (1, 0), "grow": (1, 1), "carried": (0, 0)}
+
+    def read(i):
+        fs, before = sets[i], kernel.calls()
         assert np.array_equal(fs.gram, cooccurrence(fs.words))
+        assert not fs.gram.flags.writeable
+        calls = tuple(b - a for a, b in zip(before, kernel.calls()))
+        assert calls == kernel_calls[reads[i]]
+        if reads[i] == "words":
+            assert kernel.count.call_args.args[0] is fs.words
+        reads[i] = "carried"
+
+    with Kernel() as kernel:
+        if data.draw(st.booleans()):
+            read(0)
+        for _ in range(data.draw(st.integers(1, 6))):
+            # any set so far, so that chains, a parent extended twice and a
+            # set selected twice all come up, each read or not in between
+            i = data.draw(st.integers(0, len(sets) - 1))
+            fs = sets[i]
+            if data.draw(st.booleans()):
+                # an operand is a member under 0 to 3 negations, so every
+                # sign pattern comes up, and so do repeated pairs and a
+                # member against itself; no member is a negation, so an
+                # odd count negates it
+                operand = st.tuples(st.integers(0, fs.m - 1), st.integers(0, 3))
+                pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=10))
+                children = [ex.And(negated(fs.members[i], s), negated(fs.members[j], t))
+                            for (i, s), (j, t) in pairs]
+                both_negated = any(
+                    s % 2 and t % 2 and ex.canonical_text(child) not in fs.keys
+                    for ((_, s), (_, t)), child in zip(pairs, children))
+                before = kernel.calls()
+                sets.append(fs.extend(children))
+                assert kernel.calls() == before
+                # G carried is grown on read, unless a new member is a
+                # !a & !b; a pending grow not yet read is dropped
+                grows = reads[i] == "carried" and not both_negated
+                reads.append("grow" if grows else "words")
+            else:
+                mask = data.draw(st.lists(st.booleans(), min_size=fs.m, max_size=fs.m))
+                mask[data.draw(st.integers(0, fs.m - 1))] = True
+                sets.append(fs.select(mask))
+                reads.append(reads[i])
+            reads[i] = "words"
+            if data.draw(st.booleans()):
+                read(len(sets) - 1)
+        for i in data.draw(st.permutations(range(len(sets)))):
+            read(i)
 
 
 def test_sets_count_no_gram_unless_asked():
     # uFRINGE builds and extends sets, transform builds one: neither reads G
     fs = FeatureSet.from_primitives(D)
     with mock.patch.object(metrics, "cooccurrence", side_effect=AssertionError), \
-            mock.patch.object(metrics, "_grown_gram", side_effect=AssertionError):
+            mock.patch.object(metrics, "cross_counts", side_effect=AssertionError):
         grown = fs.extend([ex.parse("a & !b"), ex.parse("!c & !d")]).select([1, 1, 0, 1, 1, 1])
         fringe = ufringe_run(DATASETS["gen-250x8-s2"](),
                              UfringeConfig(max_features=40, min_leaf=5, max_depth=5))
     assert grown.m == 5 and fringe.m > 8
     # asked once, counted once, then kept until select or extend hands it
     # to the set it returns; the source set counts it again when read
-    with mock.patch.object(metrics, "cooccurrence", wraps=cooccurrence) as count, \
-            mock.patch.object(metrics, "growing_gram_pays", RULES["grow"]):
+    with Kernel() as kernel:
         assert grown.gram is grown.gram
         kept = grown.select([1, 1, 1, 1, 0])
-        assert count.call_count == 1
-        assert grown._gram is None and kept._gram is not None
-        assert np.array_equal(grown.gram, cooccurrence(grown.words))
-        assert count.call_count == 2
-        child = kept.extend([ex.parse("a & !d")])
-        assert kept._gram is None and child._gram is not None
         assert np.array_equal(kept.gram, cooccurrence(kept.words))
-    assert count.call_count == 4  # and the one base of the grown set
-    assert np.array_equal(child.gram, cooccurrence(child.words))
+        assert kernel.calls() == (1, 0)
+        assert np.array_equal(grown.gram, cooccurrence(grown.words))
+        assert kernel.calls() == (2, 0)
+        child = kept.extend([ex.parse("a & !d")])
+        assert kernel.calls() == (2, 0)  # extend counts nothing
+        assert np.array_equal(kept.gram, cooccurrence(kept.words))
+        assert kernel.calls() == (3, 0)
+        # read, the one base is counted against the members and itself
+        assert np.array_equal(child.gram, cooccurrence(child.words))
+        assert kernel.calls() == (4, 1)
 
 
-@pytest.mark.parametrize("rule", ["grow", "count"])
-def test_each_step_grows_or_counts_as_the_rule_says(rule):
+def test_the_primitives_are_counted_once_and_every_later_read_grows():
     d = DATASETS["gen-600x16-s1"]()
-    grown = []  # the G that each step's extend gave the new set
-    real = metrics._grown_gram
-
-    def grow(*args):
-        grown.append(real(*args))
-        return grown[-1]
-
-    count = mock.Mock(wraps=metrics.cooccurrence)
-    with mock.patch.object(metrics, "growing_gram_pays", RULES[rule]), \
-            mock.patch.object(metrics, "_grown_gram", grow), \
-            mock.patch.object(metrics, "cooccurrence", count):
+    with Kernel() as kernel:
         result = ufc_run(d, UfcConfig(RiskMode(0.001)))
-    steps = len(result.logs) + (result.stop_reason == "fixpoint")
-    assert steps >= 3
-    assert len(grown) == steps  # each step's set hands G to extend
-    if rule == "grow":  # the primitives are counted; each step grows
-        assert all(g is not None for g in grown)
-        assert count.call_count == 1 + steps  # and counts its bases
-    else:  # each search counts its set
-        assert grown == [None] * steps
-        assert count.call_count == len(result.trajectory) - (result.stop_reason != "fixpoint")
+    searches = len(result.logs) + (result.stop_reason == "fixpoint")
+    assert searches >= 3
+    assert kernel.calls() == (searches, searches - 1)
+    # after the primitives, each count is of bases, fewer than the members
+    sizes = [len(call.args[0]) for call in kernel.count.call_args_list]
+    assert sizes[0] == d.k
+    assert all(p < r.m for p, r in zip(sizes[1:], result.trajectory[1:]))
+    # and against the members of the set that each grew from
+    cross = [tuple(map(len, call.args)) for call in kernel.cross.call_args_list]
+    assert cross == [(p, r.m) for p, r in zip(sizes[1:], result.trajectory)]
 
 
-def test_growing_pays_on_wide_sets_and_not_on_small_ones():
-    # (m, q, p, kept, W) of steps of seed-0 runs of the benchmark's inputs
-    assert growing_gram_pays(242, 54, 18, 260, 79)  # M, the last step
-    assert growing_gram_pays(409, 258, 86, 495, 313)  # L, a middle step
-    assert not growing_gram_pays(20, 30, 10, 30, 32)  # S, the first step
-    assert not growing_gram_pays(12, 18, 6, 18, 5)  # 300 rows
-    # the words counted decide between the two at equal set sizes
-    assert not growing_gram_pays(100, 90, 30, 130, 32)
-    assert growing_gram_pays(100, 90, 30, 130, 313)
+@pytest.mark.parametrize("mode, stop", [(RiskMode(0.001), "rms_minimum"),
+                                        (FixedMode(0.2, 3), "iter_limit")])
+def test_a_run_counts_nothing_after_its_last_search(mode, stop):
+    # the step that rms_minimum rejects, or the last that iter_limit
+    # allows, is pruned and reported, and nothing reads its G
+    events = []
+
+    def log(name, fn):  # on return, so a search follows the counts it read
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            events.append(name)
+            return out
+        return call
+
+    d = generated_dataset(5000, 60, 0)
+    with mock.patch.object(stats, "_popcount_blocks",
+                           log("kernel", stats._popcount_blocks)), \
+            mock.patch.object(ufc, "search_correlated_pairs",
+                              log("search", ufc.search_correlated_pairs)):
+        result = ufc_run(d, UfcConfig(mode))
+    assert result.stop_reason == stop
+    assert events.count("search") == len(result.logs) >= 2
+    assert "kernel" in events
+    assert events[-1] == "search"

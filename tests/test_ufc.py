@@ -1,5 +1,4 @@
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,14 +7,12 @@ from hypothesis import strategies as st
 from oracles import (
     DATASETS,
     MODES,
-    RULES,
     correlated_datasets,
     dataset_from_columns,
     oracle_run_json,
     scalar_search_reference,
 )
 
-from boolfc import metrics
 from boolfc.dataset import Dataset
 from boolfc.expr import (
     And,
@@ -475,23 +472,18 @@ def json_text(run: dict) -> str:
     return json.dumps(run, sort_keys=True, indent=2) + "\n"
 
 
-def assert_runs_match_oracle(d, cfg, rules):
-    """Under each of ``rules`` for growing G, ``ufc_run`` writes the bytes
-    of the oracle's ``run.json`` and ends with its columns, or raises the
-    oracle's error."""
+def assert_runs_match_oracle(d, cfg):
+    """``ufc_run`` writes the bytes of the oracle's ``run.json`` and ends
+    with its columns, or raises the oracle's error."""
     try:
         want, columns = oracle_run_json(d, cfg)
     except ValueError as err:
-        want, columns = type(err), None
-    for rule in rules:
-        with mock.patch.object(metrics, "growing_gram_pays", RULES[rule]):
-            if columns is None:
-                with pytest.raises(want):
-                    ufc_run(d, cfg)
-                continue
-            got = ufc_run(d, cfg)
-        assert json_text(got.to_json_dict()) == json_text(want)
-        assert np.array_equal(got.features.extensions, columns)
+        with pytest.raises(type(err)):
+            ufc_run(d, cfg)
+        return
+    got = ufc_run(d, cfg)
+    assert json_text(got.to_json_dict()) == json_text(want)
+    assert np.array_equal(got.features.extensions, columns)
 
 
 @pytest.mark.parametrize("pruning", [False, True])
@@ -499,11 +491,10 @@ def assert_runs_match_oracle(d, cfg, rules):
 @pytest.mark.parametrize("name", list(DATASETS))
 def test_run_matches_the_oracle(name, mode, pruning):
     d = DATASETS[name]()
-    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning), RULES)
+    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning))
 
 
-@given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans(),
-       st.sampled_from(list(RULES)))
+@given(correlated_datasets(), st.sampled_from(list(MODES)), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_run_writes_the_bytes_of_a_plain_loop(d, mode, pruning, rule):
-    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning), [rule])
+def test_run_writes_the_bytes_of_a_plain_loop(d, mode, pruning):
+    assert_runs_match_oracle(d, UfcConfig(MODES[mode], candidate_pruning=pruning))
