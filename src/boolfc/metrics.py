@@ -16,7 +16,7 @@ import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
-from .stats import cooccurrence, cross_counts, row_mask, unpack_columns
+from .stats import BLOCK_BYTES, cooccurrence, cross_counts, row_mask, unpack_columns
 
 
 class MetricsError(ValueError):
@@ -141,10 +141,12 @@ class FeatureSet:
 
         Each of ``new`` must be, in canonical form, a conjunction of two
         members or negated members, as uFC and uFRINGE build them;
-        anything else raises MetricsError naming it.  The words of all the
-        appended members are computed in one pass of row operations over
-        ``words``: gather each operand's row, XOR the negated ones with
-        the all-true row's words, then AND the two.  If this set carries
+        anything else raises MetricsError naming it.  The new set's words
+        are allocated once: this set's rows are copied in, and each
+        appended member's row is computed in place by row operations over
+        ``words``, a block of about ``BLOCK_BYTES`` of operands at a time:
+        gather each operand's row, XOR the negated ones with the all-true
+        row's words, then AND the two into the row.  If this set carries
         ``gram``, it hands it on, and counts it again if it is read again:
         the new set carries a pending grow, which counts nothing until its
         ``gram`` is read, unless a new member negates both operands; then
@@ -162,13 +164,21 @@ class FeatureSet:
                 operands += pair
         # (2, q): the row of each member's first and second operand, and its sign
         index, negated = np.array(operands, dtype=np.intp).reshape(-1, 2, 2).T
-        words = self.words[index]
-        words[negated.astype(bool)] ^= row_mask(self.dataset.n)
+        m, width = self.words.shape
+        words = np.empty((m + index.shape[1], width), dtype=np.uint64)
+        words[:m] = self.words
+        flip, mask = negated.astype(bool), row_mask(self.dataset.n)
+        # children a block: each gathers two operand rows of 8 * width bytes
+        step = max(1, BLOCK_BYTES // (16 * max(1, width)))
+        for top in range(0, index.shape[1], step):
+            block = self.words[index[:, top:top + step]]
+            block[flip[:, top:top + step]] ^= mask
+            np.bitwise_and(block[0], block[1], out=words[m + top:m + top + step])
         out = copy.copy(self)
         out.members += tuple(fresh.values())
         out.keys += tuple(fresh)
         out.literal_counts += tuple(ex.literal_count(e) for e in fresh.values())
-        out.words = np.concatenate([self.words, words[0] & words[1]])
+        out.words = words
         out.words.setflags(write=False)
         out._gram = None
         if isinstance(self._gram, np.ndarray) and not negated.all(axis=0).any():

@@ -193,36 +193,40 @@ def _popcount_blocks(a, b, starts, out) -> np.ndarray:
 
 
 def phi_coefficients(a, b, c, d) -> np.ndarray:
-    """Pearson correlation (phi) of 2x2 tables, elementwise over integer
-    counts: (ad - bc) / sqrt of the product of the four marginals.
-
-    The numerator is exact in int64; the marginals are multiplied as
-    float64 in the order row1 * row2 * col1 * col2, so a table gives the
-    same bits alone or in an array.  NaN where a marginal is zero (a
-    constant feature), where r is undefined.  The product is taken in
-    place, so at most one marginal exists at a time.
-    """
+    """Pearson correlation (phi) of 2x2 tables, elementwise over
+    non-negative integer counts: ``phi_from_supports`` of each table's
+    joint count a, supports a + b and a + c, and size a + b + c + d."""
     a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
-    den = np.array(a + b, dtype=np.float64)
-    den *= c + d
-    den *= a + c
-    den *= b + d
-    np.sqrt(den, out=den)
-    num = a * d
-    num -= b * c
-    r = np.full(den.shape, np.nan)
-    np.divide(num, den, out=r, where=den > 0)
-    return r
+    return phi_from_supports(a, a + b, a + c, a + b + c + d)
 
 
-def expected_counts_mask(a, b, c, d) -> np.ndarray:
-    """Elementwise: all four expected cell counts under independence,
-    row_i * col_j / n, are >= 5.  The smallest is min(row) * min(col) / n,
-    compared exactly in integers."""
-    a, b, c, d = (np.asarray(v, dtype=np.int64) for v in (a, b, c, d))
-    rows = np.minimum(a + b, c + d)
-    rows *= np.minimum(a + c, b + d)
-    return rows >= 5 * (a + b + c + d)
+def phi_from_supports(a, si, sj, n) -> np.ndarray:
+    """Pearson correlation (phi) of pairs of Boolean columns, from integer
+    arrays that broadcast: the rows n, the joint true-count a and the two
+    supports si and sj.  That is r of the 2x2 table (a, si - a, sj - a,
+    n - si - sj + a): (ad - bc) / sqrt of the product of the marginals.
+
+    The numerator is taken as n*a - si*sj, which equals ad - bc and is
+    exact in int64 below 3e9 rows; the marginals are multiplied as
+    float64 in the order si * (n - si) * sj * (n - sj), so a pair gives
+    the same bits alone, in an array or in a block broadcast from column
+    si against row sj, where only the last two products span the block.
+    NaN where a marginal is zero (a constant column), where r is
+    undefined: there the numerator is zero too."""
+    den = np.multiply(si, n - si, dtype=np.float64) * sj
+    den *= n - sj
+    num = n * a
+    num -= si * sj
+    with np.errstate(invalid="ignore"):  # 0 / 0 where r is undefined
+        return num / np.sqrt(den)
+
+
+def expected_counts_from_supports(si, sj, n) -> np.ndarray:
+    """Elementwise over integer arrays that broadcast, the supports si and
+    sj of two columns of n rows: all four expected cell counts of their
+    2x2 table under independence are >= 5.  The smallest is
+    min(si, n - si) * min(sj, n - sj) / n, compared exactly in integers."""
+    return np.minimum(si, n - si) * np.minimum(sj, n - sj) >= 5 * n
 
 
 def pearson_r(t: ContingencyTable) -> float:
@@ -241,7 +245,7 @@ def chi2_obs(t: ContingencyTable) -> float:
 
 def expected_counts_ok(t: ContingencyTable) -> bool:
     """True iff all four expected cell counts under independence are >= 5."""
-    return bool(expected_counts_mask(t.a, t.b, t.c, t.d))
+    return bool(expected_counts_from_supports(t.a + t.b, t.a + t.c, t.n))
 
 
 # ---------------------------------------------------------------------------

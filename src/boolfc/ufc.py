@@ -4,14 +4,19 @@ construction operator, pruning, and the fixed / risk-based run modes."""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
 from . import expr as ex
 from .dataset import Dataset, unique_count
 from .metrics import FeatureSet, MetricsReport, report
-from .stats import expected_counts_mask, lambda_from_risk, phi_coefficients
+from .stats import (
+    BLOCK_BYTES,
+    expected_counts_from_supports,
+    lambda_from_risk,
+    phi_from_supports,
+)
 
 
 class UfcError(ValueError):
@@ -102,19 +107,34 @@ class RunResult:
         }
 
 
-def pair_tables(fs: FeatureSet) -> tuple[np.ndarray, ...]:
-    """Every pair i < j and its contingency counts: six 1-D arrays i, j,
-    a, b, c, d in ``np.triu_indices(fs.m, 1)`` order, the counts int64;
-    a is read from ``fs.gram``, the exact co-occurrence matrix of the
-    members' words, which a set counts when first read and which
-    ``extend`` and ``select`` hand on from then on."""
-    g = fs.gram
-    i, j = np.triu_indices(fs.m, k=1)
+def pair_tables(fs: FeatureSet) -> Iterator[tuple]:
+    """Every pair i < j and its contingency counts, a block of rows of
+    G's upper triangle at a time.  Reads ``fs.gram``, the exact
+    co-occurrence matrix of the members' words, which a set counts when
+    first read and which ``extend`` and ``select`` hand on from then on,
+    at once, and returns an iterator of blocks (top, a, si, sj).
+
+    a is a view of G's rows ``top`` to ``bot - 1`` and columns ``top + 1``
+    to m - 1, and si and sj the int64 supports, from G's diagonal, of
+    those rows (a column) and columns (a row).  So a[x, y] counts members
+    i = top + x and j = top + 1 + y, a pair i < j where y >= x, and the
+    pairs' tables are a, b = si - a, c = sj - a and d = n - si - sj + a,
+    each taken by broadcasting: nothing is gathered.  The blocks go down
+    the rows in order, each of at least one row and otherwise of about
+    ``BLOCK_BYTES / 32`` entries: the four or so block-sized arrays that
+    a search holds at once then take about ``BLOCK_BYTES``."""
+    return _row_blocks(fs.gram)
+
+
+def _row_blocks(g: np.ndarray) -> Iterator[tuple]:
+    m = len(g)
     s = np.diagonal(g)
-    a = g[i, j]
-    b = s[i] - a
-    c = s[j] - a
-    return i, j, a, b, c, fs.dataset.n - a - b - c
+    entries = BLOCK_BYTES // 32
+    top = 0
+    while top < m - 1:
+        bot = min(m - 1, top + max(1, entries // (m - 1 - top)))
+        yield top, g[top:bot, top + 1:], s[top:bot, None], s[top + 1:]
+        top = bot
 
 
 def search_correlated_pairs(
@@ -122,13 +142,23 @@ def search_correlated_pairs(
 ) -> list[CandidatePair]:
     """All index pairs i < j with defined r strictly above the threshold,
     sorted by r descending then (i, j) ascending.  With pruning on, pairs
-    failing the expected-frequency rule are excluded."""
-    i, j, a, b, c, d = pair_tables(fs)
-    r = phi_coefficients(a, b, c, d)
-    keep = r > threshold  # NaN (constant feature) is never a candidate
-    if pruning:
-        keep &= expected_counts_mask(a, b, c, d)
-    i, j, r = i[keep], j[keep], r[keep]
+    failing the expected-frequency rule are excluded.  Each block of
+    ``pair_tables`` is scored, and only its candidates kept, before the
+    next."""
+    n = fs.dataset.n
+    found = []
+    for top, a, si, sj in pair_tables(fs):
+        r = phi_from_supports(a, si, sj, n)
+        keep = r > threshold  # NaN (constant feature) is never a candidate
+        if pruning:
+            keep &= expected_counts_from_supports(si, sj, n)
+        row, col = np.nonzero(keep)
+        upper = col >= row  # a block's first rows reach below the diagonal
+        row, col = row[upper], col[upper]
+        found.append((row + top, col + (top + 1), r[row, col]))
+    if not found:  # a single member has no pair
+        return []
+    i, j, r = (np.concatenate(v) for v in zip(*found))
     order = np.lexsort((j, i, -r))
     return [
         CandidatePair(*p)
@@ -200,13 +230,12 @@ def ufc_run(d: Dataset, cfg: UfcConfig) -> RunResult:
         kept = set(new_fs.keys)
         pruned = [k for k in merged.keys if k not in kept]
         logs.append(IterationLog(list(merged.keys[fs.m:]), pruned))
-        prev_fs = fs
-        fs = new_fs
-        trajectory.append(report(fs))
-
+        del merged  # else its (m + q) rows of words live through the next search
+        trajectory.append(report(new_fs))
         if risk_mode and trajectory[-1].rms > trajectory[-2].rms:
-            # the previous iteration held the RMS minimum
-            return RunResult(prev_fs, trajectory, logs, "rms_minimum", threshold)
+            # fs, the set before this iteration, held the RMS minimum
+            return RunResult(fs, trajectory, logs, "rms_minimum", threshold)
+        fs = new_fs  # no set older than fs lives through the next search
         if len(trajectory) - 1 >= limit:
             reason = "hard_cap" if risk_mode else "iter_limit"
             return RunResult(fs, trajectory, logs, reason, threshold)

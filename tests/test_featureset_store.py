@@ -186,6 +186,27 @@ def test_children_of_members_read_no_primitive_column():
     assert_same_set(grown, want)
 
 
+@pytest.mark.parametrize("budget", [0, 100, 1000, stats.BLOCK_BYTES],
+                         ids=["one-child", "two-children", "20-children", "default"])
+def test_extend_words_equal_a_concatenation_across_child_blocks(budget):
+    # 130 rows take 3 words a member, so a block of children takes 48
+    # bytes a child; negated operands, repeated and present keys included
+    d = Dataset(list("abcde"), np.random.default_rng(3).random((130, 5)) < 0.5)
+    fs = FeatureSet.from_primitives(d).extend([ex.parse("a & !b")])
+    children = []
+    for i in range(fs.m):
+        for j in range(i + 1, fs.m):
+            children += construct_new_features(fs.members[i], fs.members[j])
+    children += children[:7]
+    fresh = first_occurrences(children, fs.keys)
+    with mock.patch.object(metrics, "BLOCK_BYTES", budget):
+        grown = fs.extend(children)
+    want = np.concatenate([fs.words, FeatureSet(fresh, d).words])
+    assert grown.words.dtype == np.uint64 and not grown.words.flags.writeable
+    assert np.array_equal(grown.words, want)
+    assert_same_set(grown, FeatureSet(list(fs.members) + fresh, d))
+
+
 def test_sets_keep_only_their_read_only_words():
     fs = FeatureSet.from_primitives(D)
     for got in (fs, fs.extend([ex.parse("a & !b")]), fs.select([1, 0, 1, 1])):

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from oracles import (
     scalar_search_reference,
 )
 
+from boolfc import ufc
 from boolfc.dataset import Dataset
 from boolfc.expr import (
     And,
@@ -127,21 +130,35 @@ def oracle_dataset(n, seed):
     return dataset_from_columns(cols)
 
 
+def concatenated_tables(fs):
+    """i, j and the tables a, b, c, d of every pair i < j, in the order
+    of ``pair_tables``' blocks, each table broadcast as they document."""
+    out = []
+    for top, a, si, sj in pair_tables(fs):
+        rows, cols = np.indices(a.shape)
+        upper = cols >= rows
+        tables = np.broadcast_arrays(a, si - a, sj - a, fs.dataset.n - si - sj + a)
+        out.append((rows[upper] + top, cols[upper] + top + 1, *(t[upper] for t in tables)))
+    return [np.concatenate(v) for v in zip(*out)]
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 2000])
 def test_pair_tables_match_contingency(n):
     d = oracle_dataset(n, seed=n)
     members = [Prim(name) for name in d.feature_names]
     members += [parse("r0 & r1"), parse("!r2 & r3")]
     fs = FeatureSet(members, d)
-    i, j, *tables = pair_tables(fs)
-    want_i, want_j = np.triu_indices(fs.m, k=1)
-    assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
-    pairs = list(zip(want_i, want_j))
-    assert len(tables) == 4
-    assert all(v.shape == (len(pairs),) and v.dtype == np.int64 for v in tables)
-    for (i, j), got in zip(pairs, zip(*tables)):
-        t = contingency(fs.extensions[:, i], fs.extensions[:, j])
-        assert got == (t.a, t.b, t.c, t.d), (n, i, j)
+    for budget in (0, ufc.BLOCK_BYTES):  # one row per block, and the default
+        with mock.patch.object(ufc, "BLOCK_BYTES", budget):
+            i, j, *tables = concatenated_tables(fs)
+        want_i, want_j = np.triu_indices(fs.m, k=1)
+        assert np.array_equal(i, want_i) and np.array_equal(j, want_j)
+        pairs = list(zip(want_i, want_j))
+        assert len(tables) == 4
+        assert all(v.shape == (len(pairs),) and v.dtype == np.int64 for v in tables)
+        for (i, j), got in zip(pairs, zip(*tables)):
+            t = contingency(fs.extensions[:, i], fs.extensions[:, j])
+            assert got == (t.a, t.b, t.c, t.d), (n, budget, i, j)
     # the same kernel on n rows taken out of a larger set, as uFRINGE
     # counts the rows of a tree node
     ext = FeatureSet(members, oracle_dataset(2000, seed=n)).extensions
@@ -171,15 +188,21 @@ def pooled_datasets(draw):
     return Dataset([f"f{i}" for i in range(k)], np.column_stack(cols))
 
 
+# BLOCK_BYTES: blocks of one row, of up to 2 pairs, of up to 31, and the default
+SEARCH_BUDGETS = [0, 64, 1000, ufc.BLOCK_BYTES]
+
+
 @given(
     pooled_datasets(),
     st.floats(-0.5, 0.99, allow_nan=False),
     st.booleans(),
+    st.sampled_from(SEARCH_BUDGETS),
 )
 @settings(max_examples=300, deadline=None)
-def test_search_matches_scalar_loop(d, threshold, pruning):
+def test_search_matches_scalar_loop(d, threshold, pruning, budget):
     fs = FeatureSet.from_primitives(d)
-    got = search_correlated_pairs(fs, threshold, pruning)
+    with mock.patch.object(ufc, "BLOCK_BYTES", budget):
+        got = search_correlated_pairs(fs, threshold, pruning)
     assert got == scalar_search_reference(fs.extensions, threshold, pruning)
     assert all(type(p.r) is float and type(p.i) is int for p in got)
 
@@ -192,7 +215,27 @@ def test_search_matches_scalar_loop_with_ties(pruning):
     want = scalar_search_reference(fs.extensions, -0.9, pruning)
     rs = [p.r for p in want]
     assert len(set(rs)) < len(rs)
-    assert search_correlated_pairs(fs, -0.9, pruning) == want
+    for budget in SEARCH_BUDGETS:
+        with mock.patch.object(ufc, "BLOCK_BYTES", budget):
+            assert search_correlated_pairs(fs, -0.9, pruning) == want, budget
+
+
+def test_search_temporaries_stay_within_a_block():
+    # m = 406 members: 82 215 pairs, whose six whole-triangle int64 arrays
+    # alone would take 3.9 MB; a search keeps a few blocks' arrays and its
+    # candidates
+    d = Dataset([f"f{k}" for k in range(406)],
+                np.random.default_rng(5).random((3000, 406)) < 0.3)
+    fs = FeatureSet.from_primitives(d)
+    fs.gram  # counted before the trace: the search itself counts nothing
+    tracemalloc.start()
+    try:
+        found = search_correlated_pairs(fs, 0.05, pruning=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(found) < 2000
+    assert peak < 2 * ufc.BLOCK_BYTES + 200 * len(found), (peak, len(found))
 
 
 # -- construction operator ----------------------------------------------------
